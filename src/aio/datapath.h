@@ -95,7 +95,9 @@ struct FaultSites {
 /// and the caller's registrable buffers. Creating the ring is lazy —
 /// a Transfer on the stdio backend costs nothing — and a ring-creation
 /// failure degrades this transfer to stdio instead of failing it.
-/// Not thread-safe; one Transfer per operation.
+/// Not thread-safe: one operation at a time. A Transfer may serve
+/// several operations in turn over the same registered buffers (the
+/// shard store keeps one between operations).
 class Transfer {
  public:
   explicit Transfer(Backend backend, std::span<const iovec> registered = {});
@@ -105,6 +107,8 @@ class Transfer {
   /// The ring, created (and buffers registered) on first use; nullptr
   /// on the stdio backend.
   Ring* ring();
+  /// True once ring() has created the ring.
+  bool has_ring() const { return ring_ != nullptr; }
   /// Registered-buffer index containing [p, p+len), or -1.
   int buf_index_for(const void* p, std::size_t len) const;
 

@@ -5,9 +5,11 @@
 // set), and what a real PM-backed pool would hand out anyway (PM maps
 // are page-granular). The arena owns every slab until it is destroyed
 // or reset, so spans handed to in-flight I/O stay valid for the whole
-// operation.
+// operation. Slabs are zeroed only when allocated: the shard store
+// keeps an arena across operations and zeroes what each one needs.
 //
-// Not thread-safe: one arena per file-level operation.
+// Not thread-safe: the shard store lends an arena to one operation at
+// a time.
 #pragma once
 
 #include <sys/uio.h>

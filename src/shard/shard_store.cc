@@ -24,13 +24,18 @@ namespace {
 
 /// Registry mirror of the store's resilience activity: how often reads
 /// retried, how often stripes were resubmitted or fell back to the
-/// serial codec, and the terminal deadline/exhaustion outcomes.
+/// serial codec, and the terminal deadline/exhaustion outcomes — plus
+/// how operations got their shard buffers and how many bytes of them
+/// stores keep between operations.
 struct ShardMetrics {
   obs::Counter& read_retries;
   obs::Counter& service_resubmits;
   obs::Counter& serial_fallbacks;
   obs::Counter& deadline_exceeded;
   obs::Counter& retry_exhausted;
+  obs::Counter& lease_reuse;
+  obs::Counter& lease_alloc;
+  obs::Gauge& retained_bytes;
 
   static ShardMetrics& Get() {
     auto& reg = obs::Registry::Global();
@@ -46,6 +51,13 @@ struct ShardMetrics {
                     "Stripe operations abandoned on a service deadline"),
         reg.counter("dialga_shard_retry_exhausted_total", {},
                     "Operations that ran out of retry budget"),
+        reg.counter("dialga_shard_buffer_lease_total",
+                    {{"outcome", "reuse"}},
+                    "Shard-buffer sets an operation reused or allocated"),
+        reg.counter("dialga_shard_buffer_lease_total",
+                    {{"outcome", "alloc"}}),
+        reg.gauge("dialga_shard_buffer_retained_bytes", {},
+                  "Shard-buffer bytes stores keep between operations"),
     };
     return m;
   }
@@ -285,8 +297,111 @@ aio::IoStatus RetryTransient(const ServicePolicy& policy,
 
 }  // namespace
 
+/// The k + m page-aligned slabs of one operation, and the Transfer
+/// whose ring has them registered (declared last: the ring goes before
+/// the memory it pins).
+struct ShardStore::ShardBuffers {
+  pmpool::Arena arena;
+  std::unique_ptr<aio::Transfer> xfer;
+
+  std::size_t slab_bytes() const {
+    return arena.slabs() == 0 ? 0 : arena.iovecs().front().iov_len;
+  }
+};
+
+/// One operation's hold on shard buffers: the store's kept set when it
+/// is free and fits, else a fresh set. Owning the store's slot, the
+/// destructor hands the set back — with its ring only after mark_ok()
+/// and only if the ring did not degrade from the backend the aio mode
+/// selected. A private set (the slot was lent out) dies here.
+class ShardStore::Lease {
+ public:
+  Lease(const ShardStore& store, std::size_t count, std::size_t shard_bytes)
+      : store_(store), backend_(aio::SelectBackend(store.aio_mode_)) {
+    {
+      std::lock_guard<std::mutex> lock(store.lease_mu_);
+      set_ = std::move(store.retained_);  // null while lent out
+    }
+    owner_ = set_ != nullptr;
+    auto& metrics = ShardMetrics::Get();
+    if (owner_ && set_->arena.slabs() >= count &&
+        set_->slab_bytes() >= shard_bytes) {
+      metrics.lease_reuse.inc();
+    } else {
+      // Free the kept set before allocating: peak memory is one set.
+      if (owner_) {
+        metrics.retained_bytes.add(-static_cast<double>(set_->arena.bytes()));
+        set_.reset();
+      }
+      set_ = std::make_unique<ShardBuffers>();
+      for (std::size_t s = 0; s < count; ++s) set_->arena.allocate(shard_bytes);
+      if (owner_) {
+        metrics.retained_bytes.add(static_cast<double>(set_->arena.bytes()));
+      }
+      metrics.lease_alloc.inc();
+    }
+    if (set_->xfer == nullptr) {
+      set_->xfer =
+          std::make_unique<aio::Transfer>(backend_, set_->arena.iovecs());
+    }
+    shards_.reserve(count);
+    for (std::size_t s = 0; s < count; ++s) {
+      shards_.emplace_back(
+          static_cast<std::byte*>(set_->arena.iovecs()[s].iov_base),
+          shard_bytes);
+    }
+  }
+
+  ~Lease() {
+    if (!owner_) return;
+    if (!ok_ || set_->xfer->backend() != backend_) {
+      set_->xfer.reset();  // a faulted or degraded ring never carries over
+    }
+    std::lock_guard<std::mutex> lock(store_.lease_mu_);
+    store_.retained_ = std::move(set_);
+  }
+
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+
+  /// Spans of exactly shard_bytes over the first `count` slabs.
+  const std::vector<std::span<std::byte>>& shards() const { return shards_; }
+  aio::Transfer& xfer() { return *set_->xfer; }
+  /// The operation succeeded: its ring may serve the next one.
+  void mark_ok() { ok_ = true; }
+
+ private:
+  const ShardStore& store_;
+  const aio::Backend backend_;  ///< what the aio mode selects for this op
+  std::unique_ptr<ShardBuffers> set_;
+  std::vector<std::span<std::byte>> shards_;
+  bool owner_ = false;
+  bool ok_ = false;
+};
+
 ShardStore::ShardStore(const ec::Codec& codec, std::size_t block_size)
-    : codec_(codec), block_size_(block_size) {}
+    : codec_(codec),
+      block_size_(block_size),
+      retained_(std::make_unique<ShardBuffers>()) {}
+
+ShardStore::~ShardStore() {
+  if (retained_->arena.bytes() != 0) {
+    ShardMetrics::Get().retained_bytes.add(
+        -static_cast<double>(retained_->arena.bytes()));
+  }
+}
+
+void ShardStore::set_aio_mode(aio::Mode mode) {
+  aio_mode_ = mode;
+  std::lock_guard<std::mutex> lock(lease_mu_);
+  if (retained_ != nullptr) retained_->xfer.reset();  // null while lent out
+}
+
+bool ShardStore::retains_ring() const {
+  std::lock_guard<std::mutex> lock(lease_mu_);
+  return retained_ != nullptr && retained_->xfer != nullptr &&
+         retained_->xfer->has_ring();
+}
 
 bool ShardStore::read_file_retrying(const fs::path& path,
                                     std::vector<std::byte>* out, int* err,
@@ -500,22 +615,18 @@ Status ShardStore::encode_file(const fs::path& input,
   const std::size_t shard_bytes = stripes * block_size_;
 
   // Shard s holds: for every stripe r, block s of that stripe. The
-  // arena slabs are zeroed, page-aligned, and (on the uring backend)
-  // pinned as registered buffers — input blocks scatter-read straight
-  // into shard layout, so the old whole-file staging vector and its
-  // per-stripe std::copy are gone.
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  shards.reserve(k + m);
-  for (std::size_t s = 0; s < k + m; ++s) {
-    shards.push_back(arena.allocate(shard_bytes));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
+  // leased slabs are page-aligned and (on the uring backend) pinned as
+  // registered buffers — input blocks scatter-read straight into shard
+  // layout, so the old whole-file staging vector and its per-stripe
+  // std::copy are gone.
+  Lease lease(*this, k + m, shard_bytes);
+  const auto& shards = lease.shards();
+  aio::Transfer& xfer = lease.xfer();
 
   // Scatter plan: block (r, i) of the input lands at stripe offset r
-  // of data shard i; the zero padding of a partial tail block is the
-  // arena's zero fill.
+  // of data shard i.
   std::vector<aio::Seg> segs;
+  std::vector<std::size_t> filled(k, 0);  // data shard -> bytes from input
   std::vector<std::size_t> seg_stripe;  // segment index -> stripe
   std::vector<std::size_t> blocks_left(stripes, 0);
   for (std::size_t r = 0; r < stripes; ++r) {
@@ -528,7 +639,15 @@ Status ShardStore::encode_file(const fs::path& input,
       segs.push_back({shards[i].data() + r * block_size_, len, off});
       seg_stripe.push_back(r);
       ++blocks_left[r];
+      filled[i] = r * block_size_ + len;
     }
+  }
+  // A leased slab may hold an earlier operation's bytes: zero each data
+  // shard past the input (the last stripe's padding). Parity is
+  // overwritten whole by the encode.
+  for (std::size_t i = 0; i < k; ++i) {
+    std::fill(shards[i].begin() + static_cast<std::ptrdiff_t>(filled[i]),
+              shards[i].end(), std::byte{0});
   }
 
   // Overlap I/O and compute: a stripe whose blocks are all resident
@@ -549,7 +668,7 @@ Status ShardStore::encode_file(const fs::path& input,
         if (--blocks_left[seg_stripe[si]] == 0) dispatch(seg_stripe[si]);
       });
   if (!read_st.ok()) {
-    // Reap anything already dispatched before the arena goes away.
+    // Reap anything already dispatched before the lease is returned.
     for (auto& f : futures) {
       if (f.valid()) f.get();
     }
@@ -590,6 +709,7 @@ Status ShardStore::encode_file(const fs::path& input,
     return Status::Io(st.err, dir / "manifest.txt",
                       st.detail.empty() ? "cannot write manifest" : st.detail);
   }
+  lease.mark_ok();
   return Status::Ok();
 }
 
@@ -640,14 +760,10 @@ void ShardStore::load_shards(aio::Transfer& xfer, const fs::path& dir,
 std::vector<std::size_t> ShardStore::verify(const fs::path& dir) const {
   const auto mf = load_manifest(dir);
   if (!mf) return {SIZE_MAX};  // unusable directory
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  for (std::size_t s = 0; s < mf->k + mf->m; ++s) {
-    shards.push_back(arena.allocate(mf->shard_bytes()));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
+  Lease lease(*this, mf->k + mf->m, mf->shard_bytes());
   std::vector<std::size_t> damaged;
-  load_shards(xfer, dir, *mf, shards, &damaged);
+  load_shards(lease.xfer(), dir, *mf, lease.shards(), &damaged);
+  if (damaged.empty()) lease.mark_ok();
   return damaged;
 }
 
@@ -656,13 +772,10 @@ VerifyReport ShardStore::verify_detailed(const fs::path& dir) const {
   const auto mf = load_manifest(dir);
   if (!mf) return report;
   report.manifest_ok = true;
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  for (std::size_t s = 0; s < mf->k + mf->m; ++s) {
-    shards.push_back(arena.allocate(mf->shard_bytes()));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
-  load_shards(xfer, dir, *mf, shards, &report.damaged, &report.states);
+  Lease lease(*this, mf->k + mf->m, mf->shard_bytes());
+  load_shards(lease.xfer(), dir, *mf, lease.shards(), &report.damaged,
+              &report.states);
+  if (report.damaged.empty()) lease.mark_ok();
   for (std::size_t s = 0; s < report.states.size(); ++s) {
     if (report.states[s] == ShardState::kCorrupt) report.corrupt.push_back(s);
   }
@@ -673,18 +786,18 @@ RepairReport ShardStore::repair(const fs::path& dir) const {
   RepairReport report;
   const auto mf = load_manifest(dir);
   if (!mf) return report;
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  for (std::size_t s = 0; s < mf->k + mf->m; ++s) {
-    shards.push_back(arena.allocate(mf->shard_bytes()));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
+  Lease lease(*this, mf->k + mf->m, mf->shard_bytes());
+  const auto& shards = lease.shards();
+  aio::Transfer& xfer = lease.xfer();
   std::vector<ShardState> states;
   load_shards(xfer, dir, *mf, shards, &report.damaged, &states);
   for (std::size_t s = 0; s < states.size(); ++s) {
     if (states[s] == ShardState::kCorrupt) report.corrupt.push_back(s);
   }
-  if (report.damaged.empty()) return report;
+  if (report.damaged.empty()) {
+    lease.mark_ok();
+    return report;
+  }
   if (report.damaged.size() > mf->m) return report;  // unrecoverable
 
   report.status = decode_stripes(*mf, shards, report.damaged);
@@ -703,6 +816,7 @@ RepairReport ShardStore::repair(const fs::path& dir) const {
       integrity::Metrics::Get().heal("shard", false);
     }
   }
+  if (report.ok()) lease.mark_ok();
   return report;
 }
 
@@ -720,12 +834,9 @@ Status ShardStore::decode_file(const fs::path& dir,
   if (!mf) {
     return Status::Damaged(dir / "manifest.txt", "corrupt manifest");
   }
-  pmpool::Arena arena;
-  std::vector<std::span<std::byte>> shards;
-  for (std::size_t s = 0; s < mf->k + mf->m; ++s) {
-    shards.push_back(arena.allocate(mf->shard_bytes()));
-  }
-  aio::Transfer xfer(aio::SelectBackend(aio_mode_), arena.iovecs());
+  Lease lease(*this, mf->k + mf->m, mf->shard_bytes());
+  const auto& shards = lease.shards();
+  aio::Transfer& xfer = lease.xfer();
   std::vector<std::size_t> damaged;
   load_shards(xfer, dir, *mf, shards, &damaged);
   if (damaged.size() > mf->m) {
@@ -781,6 +892,7 @@ Status ShardStore::decode_file(const fs::path& dir,
     return Status::Io(st.err, output,
                       st.detail.empty() ? "cannot write output" : st.detail);
   }
+  lease.mark_ok();
   return Status::Ok();
 }
 

@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -34,9 +36,6 @@
 #include "integrity/checksum.h"
 #include "svc/retry.h"
 
-namespace pmpool {
-class Arena;
-}
 namespace svc {
 class StripeService;
 struct Result;
@@ -150,10 +149,25 @@ struct ServicePolicy {
   bool serial_fallback = true;
 };
 
+/// Shard buffers: every operation works on k + m page-aligned slabs
+/// (registered with the io_uring ring on that backend). The store keeps
+/// one such set — with its ring — between operations and lends it to
+/// the next one whose slabs fit, so a long-lived store pays the page
+/// faults, zeroing and buffer registration once, not per operation.
+/// A bigger operation frees the kept set before allocating its own; a
+/// caller that finds the set lent out allocates a private one that dies
+/// with its operation. The ring is kept only after an operation that
+/// succeeded on the backend the current aio mode selects.
+/// Operations are safe to run concurrently on one store; the setters
+/// are not safe to call while an operation runs.
 class ShardStore {
  public:
   /// `codec` must outlive the store; its (k, m) defines the layout.
   ShardStore(const ec::Codec& codec, std::size_t block_size = 4096);
+  ~ShardStore();
+
+  ShardStore(const ShardStore&) = delete;
+  ShardStore& operator=(const ShardStore&) = delete;
 
   /// Route per-stripe encode/decode work through an embeddable stripe
   /// service (svc/stripe_service.h): stripes are submitted as batched
@@ -174,8 +188,8 @@ class ShardStore {
   /// kUring drives the io_uring ring with registered arena buffers,
   /// kStdio uses plain pread/pwrite, kAuto (the default, also read
   /// from DIALGA_AIO at construction) probes the kernel and falls back
-  /// to stdio when io_uring is unavailable.
-  void set_aio_mode(aio::Mode mode) { aio_mode_ = mode; }
+  /// to stdio when io_uring is unavailable. Drops the kept ring.
+  void set_aio_mode(aio::Mode mode);
   aio::Mode aio_mode() const { return aio_mode_; }
 
   /// Checksum algorithm stamped into manifests written by encode_file
@@ -220,7 +234,14 @@ class ShardStore {
   Status decode_file(const std::filesystem::path& dir,
                      const std::filesystem::path& output) const;
 
+  /// Whether an io_uring ring is kept with the shard buffers between
+  /// operations.
+  bool retains_ring() const;
+
  private:
+  struct ShardBuffers;
+  class Lease;
+
   std::optional<Manifest> load_manifest(
       const std::filesystem::path& dir) const;
   /// Read every shard into its preallocated span; unreadable or
@@ -264,6 +285,11 @@ class ShardStore {
   integrity::ChecksumAlgo algo_ = integrity::kDefaultAlgo;
   bool verify_on_read_ = true;
   bool read_repair_ = true;
+
+  mutable std::mutex lease_mu_;
+  /// The kept set (empty until the first operation); null while lent
+  /// to an operation. Guarded by lease_mu_.
+  mutable std::unique_ptr<ShardBuffers> retained_;
 };
 
 }  // namespace shard

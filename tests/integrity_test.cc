@@ -51,6 +51,46 @@ TEST(Crc32c, SoftwareMatchesDispatchedAtEveryTailLength) {
   }
 }
 
+TEST(Crc32c, InterleavedKernelMatchesSoftwareAtEveryLengthAndOffset) {
+  // The hardware kernel aligns to 8 bytes, runs three interleaved
+  // chains over 3 x 8 KiB and 3 x 256 B blocks, then single words and
+  // bytes: every length 0..4096 at every start offset 0..15 crosses
+  // each of those boundaries.
+  std::vector<unsigned char> buf(4096 + 16 + 8);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<unsigned char>(x);
+  }
+  // Start from an 8-aligned address so offset o really is misalignment o.
+  const auto base_addr = reinterpret_cast<std::uintptr_t>(buf.data());
+  const unsigned char* base = buf.data() + ((8 - base_addr % 8) % 8);
+  std::size_t mismatches = 0;
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      if (integrity::Crc32c(base + off, n) !=
+          integrity::Crc32cSoftware(base + off, n)) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << "first mismatch: offset " << off << " length " << n;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  std::vector<unsigned char> big(32u << 20);
+  for (std::size_t i = 0; i < big.size(); i += 8) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    std::memcpy(&big[i], &x, 8);
+  }
+  EXPECT_EQ(integrity::Crc32c(big.data(), big.size()),
+            integrity::Crc32cSoftware(big.data(), big.size()));
+}
+
 TEST(Crc32c, ScalarIsaPinsSoftwarePath) {
   const gf::IsaLevel prev = gf::active_isa();
   gf::set_active_isa(gf::IsaLevel::kScalar);

@@ -5,11 +5,13 @@
 #include <chrono>
 #include <fstream>
 #include <random>
+#include <thread>
 
 #include "aio/ring.h"
 #include "dialga/dialga.h"
 #include "ec/isal.h"
 #include "fault/injector.h"
+#include "obs/metrics.h"
 
 namespace shard {
 namespace {
@@ -27,8 +29,9 @@ class ShardStoreTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  fs::path write_input(std::size_t bytes, std::uint64_t seed) {
-    const fs::path p = dir_ / "input.bin";
+  fs::path write_input(std::size_t bytes, std::uint64_t seed,
+                       const char* name = "input.bin") {
+    const fs::path p = dir_ / name;
     std::mt19937_64 rng(seed);
     std::ofstream out(p, std::ios::binary);
     for (std::size_t i = 0; i < bytes; ++i) {
@@ -305,6 +308,128 @@ TEST_F(ShardStoreTest, RetryBackoffIsClampedToTheDeadline) {
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.kind, Status::Kind::kRetryExhausted) << st.message();
   EXPECT_LT(elapsed, 2s) << "backoff ignored the deadline budget";
+}
+
+std::uint64_t LeaseCount(const char* outcome) {
+  return obs::Registry::Global()
+      .counter("dialga_shard_buffer_lease_total", {{"outcome", outcome}})
+      .value();
+}
+
+TEST_F(ShardStoreTest, ReusedBuffersEncodeBitIdenticalToAFreshStore) {
+  // A 256 KiB encode leaves its bytes in the kept slabs; the smaller
+  // encodes that reuse them must zero their own tail padding so shards
+  // and manifests match a fresh store's byte for byte — with a partial
+  // tail block (23000 B) and stripe-aligned (32768 B = 2 x 4 x 4 KiB).
+  const ec::IsalCodec codec(4, 2);
+  const ShardStore store(codec, 4096);
+  const std::uint64_t alloc_before = LeaseCount("alloc");
+  ASSERT_TRUE(store.encode_file(write_input(256 << 10, 20), dir_ / "big"));
+  EXPECT_EQ(LeaseCount("alloc"), alloc_before + 1);
+
+  std::size_t case_no = 0;
+  for (const std::size_t size : {std::size_t{23000}, std::size_t{32768}}) {
+    const fs::path input = write_input(size, 21 + case_no);
+    const fs::path reused = dir_ / ("reused_" + std::to_string(case_no));
+    const fs::path fresh = dir_ / ("fresh_" + std::to_string(case_no));
+    ++case_no;
+    const std::uint64_t reuse_before = LeaseCount("reuse");
+    ASSERT_TRUE(store.encode_file(input, reused));
+    EXPECT_EQ(LeaseCount("reuse"), reuse_before + 1) << "lease not reused";
+
+    const ShardStore fresh_store(codec, 4096);
+    ASSERT_TRUE(fresh_store.encode_file(input, fresh));
+    std::size_t files = 0;
+    for (const auto& e : fs::directory_iterator(fresh)) {
+      ++files;
+      EXPECT_EQ(slurp(e.path()), slurp(reused / e.path().filename()))
+          << size << " B: " << e.path().filename();
+    }
+    EXPECT_EQ(files, 4 + 2 + 1u);
+    ASSERT_TRUE(store.decode_file(reused, dir_ / "out.bin"));
+    EXPECT_EQ(slurp(input), slurp(dir_ / "out.bin"));
+  }
+}
+
+TEST_F(ShardStoreTest, TruncatedShardThenHealthyDecodeOfAnotherGeneration) {
+  const ec::IsalCodec codec(4, 2);
+  const ShardStore store(codec, 1024);
+  const fs::path a = write_input(20000, 30);
+  const auto a_bytes = slurp(a);
+  ASSERT_TRUE(store.encode_file(a, dir_ / "a"));
+  const fs::path b = write_input(17000, 31);
+  const auto b_bytes = slurp(b);
+  ASSERT_TRUE(store.encode_file(b, dir_ / "b"));
+
+  // Generation a loses the tail of a data shard: rebuilt from parity
+  // in the leased slabs, then read-repaired on disk.
+  fs::resize_file(dir_ / "a" / "shard_001", 100);
+  ASSERT_TRUE(store.decode_file(dir_ / "a", dir_ / "out_a.bin"));
+  EXPECT_EQ(slurp(dir_ / "out_a.bin"), a_bytes);
+  EXPECT_TRUE(store.verify(dir_ / "a").empty());
+
+  ASSERT_TRUE(store.decode_file(dir_ / "b", dir_ / "out_b.bin"));
+  EXPECT_EQ(slurp(dir_ / "out_b.bin"), b_bytes);
+
+  // A failed operation hands its slabs back without the ring; the next
+  // operation still reads b correctly.
+  for (const char* s : {"shard_000", "shard_001", "shard_002"}) {
+    fs::resize_file(dir_ / "a" / s, 10);
+  }
+  const Status st = store.decode_file(dir_ / "a", dir_ / "out_a.bin");
+  EXPECT_EQ(st.kind, Status::Kind::kDamaged) << st.message();
+  EXPECT_FALSE(store.retains_ring());
+  ASSERT_TRUE(store.decode_file(dir_ / "b", dir_ / "out_b.bin"));
+  EXPECT_EQ(slurp(dir_ / "out_b.bin"), b_bytes);
+}
+
+TEST_F(ShardStoreTest, ConcurrentOperationsOnOneStore) {
+  // Two threads share the store: whichever finds the kept set lent out
+  // runs on a private one. Different sizes force misses as well.
+  const dialga::DialgaCodec codec(4, 2);
+  const ShardStore store(codec, 1024);
+  const fs::path inputs[2] = {write_input(30000, 40, "input_0.bin"),
+                              write_input(52000, 41, "input_1.bin")};
+  const std::vector<char> want[2] = {slurp(inputs[0]), slurp(inputs[1])};
+
+  bool ok[2] = {true, true};
+  auto worker = [&](int t) {
+    const fs::path shards = dir_ / ("shards_" + std::to_string(t));
+    const fs::path out = dir_ / ("out_" + std::to_string(t));
+    for (int iter = 0; iter < 4; ++iter) {
+      ok[t] = ok[t] && store.encode_file(inputs[t], shards).ok() &&
+              store.decode_file(shards, out).ok() && slurp(out) == want[t];
+    }
+  };
+  std::thread t0(worker, 0);
+  std::thread t1(worker, 1);
+  t0.join();
+  t1.join();
+  EXPECT_TRUE(ok[0]);
+  EXPECT_TRUE(ok[1]);
+}
+
+TEST_F(ShardStoreTest, SetAioModeDropsTheRetainedRing) {
+  const ec::IsalCodec codec(4, 2);
+  const fs::path input = write_input(40000, 50);
+  ShardStore store(codec, 1024);
+  store.set_aio_mode(aio::Mode::kUring);
+  ASSERT_TRUE(store.encode_file(input, dir_ / "shards"));
+  if (aio::SelectBackend(aio::Mode::kUring) == aio::Backend::kUring) {
+    EXPECT_TRUE(store.retains_ring());
+  }
+
+  store.set_aio_mode(aio::Mode::kStdio);
+  EXPECT_FALSE(store.retains_ring());
+  const std::uint64_t reuse_before = LeaseCount("reuse");
+  auto& uring_reads = obs::Registry::Global().counter(
+      "dialga_aio_bytes_total", {{"backend", "uring"}, {"op", "read"}});
+  const std::uint64_t before = uring_reads.value();
+  ASSERT_TRUE(store.decode_file(dir_ / "shards", dir_ / "out.bin"));
+  EXPECT_EQ(slurp(input), slurp(dir_ / "out.bin"));
+  EXPECT_EQ(uring_reads.value(), before);
+  EXPECT_EQ(LeaseCount("reuse"), reuse_before + 1);  // the slabs stay
+  EXPECT_FALSE(store.retains_ring());
 }
 
 TEST_F(ShardStoreTest, ChecksumIsStable) {
