@@ -76,6 +76,7 @@
 #include "bench_util/stats.h"
 #include "bench_util/workload.h"
 #include "cluster/local_cluster.h"
+#include "common/env.h"
 #include "dialga/dialga.h"
 #include "ec/executor.h"
 #include "ec/isal.h"
@@ -92,12 +93,15 @@ struct PointResult {
   double seconds = 0.0;
   double achieved_kops = 0.0;
   svc::ServiceStats stats;
+  /// Submit-to-completion percentiles of the served requests, from
+  /// each future's Result::service_seconds.
+  double p50_s = 0.0;
+  double p99_s = 0.0;
   /// Coordinated-omission-corrected percentiles: latency measured from
   /// each request's intended (schedule-derived) send time, so time a
   /// producer spent running behind its open-loop schedule counts.
   double p50_intended_s = 0.0;
   double p99_intended_s = 0.0;
-  std::size_t intended_samples = 0;
 };
 
 /// One producer's pre-allocated stripes (buffers must outlive futures).
@@ -158,10 +162,11 @@ PointResult RunPoint(double offered_kops, std::size_t producers,
       std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(1.0 / per_producer_rate));
   const auto t0 = std::chrono::steady_clock::now();
+  // Latencies of the served requests, per producer.
+  std::vector<std::vector<double>> measured(producers);
   std::vector<std::vector<double>> corrected(producers);
   std::vector<std::thread> threads;
   for (std::size_t p = 0; p < producers; ++p) {
-    corrected[p].assign(per_producer, -1.0);
     threads.emplace_back([&, p] {
       std::vector<std::future<svc::Result>> done;
       // Lateness of each actual submit vs its intended schedule slot:
@@ -182,7 +187,9 @@ PointResult RunPoint(double offered_kops, std::size_t producers,
       for (std::size_t s = 0; s < per_producer; ++s) {
         const svc::Result res = done[s].get();
         if (res.ok()) {
-          corrected[p][s] = std::max(0.0, late[s]) + res.service_seconds;
+          measured[p].push_back(res.service_seconds);
+          corrected[p].push_back(std::max(0.0, late[s]) +
+                                 res.service_seconds);
         }
       }
     });
@@ -197,18 +204,27 @@ PointResult RunPoint(double offered_kops, std::size_t producers,
       r.seconds > 0.0
           ? static_cast<double>(r.stats.completed_ok) / (r.seconds * 1e3)
           : 0.0;
-  std::vector<double> all;
-  for (const auto& v : corrected) {
-    for (const double x : v) {
-      if (x >= 0.0) all.push_back(x);
-    }
+  std::vector<double> all, all_intended;
+  for (std::size_t p = 0; p < producers; ++p) {
+    all.insert(all.end(), measured[p].begin(), measured[p].end());
+    all_intended.insert(all_intended.end(), corrected[p].begin(),
+                        corrected[p].end());
   }
-  if (!all.empty()) {
-    r.p50_intended_s = bench_util::Percentile(all, 0.50);
-    r.p99_intended_s = bench_util::Percentile(all, 0.99);
-    r.intended_samples = all.size();
-  }
+  r.p50_s = bench_util::Percentile(all, 0.50);
+  r.p99_s = bench_util::Percentile(all, 0.99);
+  r.p50_intended_s = bench_util::Percentile(all_intended, 0.50);
+  r.p99_intended_s = bench_util::Percentile(all_intended, 0.99);
   return r;
+}
+
+/// A mode's table as <DIALGA_CSV_DIR>/bench_svc_throughput_<mode>.csv,
+/// when the variable is set.
+void WriteModeCsv(const bench_util::Table& table, const char* mode) {
+  if (const char* dir = std::getenv("DIALGA_CSV_DIR"); dir != nullptr) {
+    std::ofstream out(std::string(dir) + "/bench_svc_throughput_" + mode +
+                      ".csv");
+    if (out) table.print_csv(out);
+  }
 }
 
 /// Slurp a file's bytes (plain read; comparison only).
@@ -332,10 +348,7 @@ int RunFileBacked() {
     std::printf("  (io_uring unavailable: stdio only, no comparison)\n");
   }
 
-  if (const char* dir = std::getenv("DIALGA_CSV_DIR"); dir != nullptr) {
-    std::ofstream out(std::string(dir) + "/bench_svc_throughput_datapath.csv");
-    if (out) table.print_csv(out);
-  }
+  WriteModeCsv(table, "datapath");
   std::error_code ec;
   fs::remove_all(root, ec);
   return all ? 0 : 1;
@@ -412,11 +425,7 @@ int RunIntegrity() {
   std::printf("  verify-on-read decode overhead: %+.1f%%\n", overhead * 100);
   check("verify-on-read decode overhead stays within 5%", overhead <= 0.05);
 
-  if (const char* csv = std::getenv("DIALGA_CSV_DIR"); csv != nullptr) {
-    std::ofstream out(std::string(csv) +
-                      "/bench_svc_throughput_integrity.csv");
-    if (out) table.print_csv(out);
-  }
+  WriteModeCsv(table, "integrity");
   std::error_code ec;
   fs::remove_all(root, ec);
   return all ? 0 : 1;
@@ -544,10 +553,7 @@ int RunCluster(std::size_t nodes) {
   check("remove-node rebalance re-homes chunks without failures",
         rebal_ok && rebal.moved + rebal.rebuilt > 0);
 
-  if (const char* dir = std::getenv("DIALGA_CSV_DIR"); dir != nullptr) {
-    std::ofstream out(std::string(dir) + "/bench_svc_throughput_cluster.csv");
-    if (out) table.print_csv(out);
-  }
+  WriteModeCsv(table, "cluster");
   return all ? 0 : 1;
 }
 
@@ -837,10 +843,7 @@ int RunQos(double run_seconds) {
   check("governed bulk throughput holds >= 80% of the ungoverned run",
         kept >= 0.80);
 
-  if (const char* dir = std::getenv("DIALGA_CSV_DIR"); dir != nullptr) {
-    std::ofstream out(std::string(dir) + "/bench_svc_throughput_qos.csv");
-    if (out) table.print_csv(out);
-  }
+  WriteModeCsv(table, "qos");
   return all ? 0 : 1;
 }
 
@@ -917,7 +920,7 @@ ShiftRun RunShiftWorkload(const dialga::SelectorOptions& sel) {
 
   ShiftRun run;
   const auto& windows = provider->coordinator().windows();
-  if (std::getenv("DIALGA_SHIFT_DEBUG") != nullptr) {
+  if (common::EnvFlag("DIALGA_SHIFT_DEBUG", false)) {
     for (std::size_t i = 0; i < windows.size(); ++i) {
       int phase = -1;
       for (std::size_t p = 0; p < phase_start.size(); ++p) {
@@ -1082,11 +1085,7 @@ int RunPhaseShift() {
   }
   check("every warm window was decided by the plan cache", warm_all_cached);
 
-  if (const char* dir = std::getenv("DIALGA_CSV_DIR"); dir != nullptr) {
-    std::ofstream out(std::string(dir) +
-                      "/bench_svc_throughput_selector.csv");
-    if (out) table.print_csv(out);
-  }
+  WriteModeCsv(table, "selector");
   std::remove(cache_path.c_str());
   return all ? 0 : 1;
 }
@@ -1110,8 +1109,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--qos") == 0) {
       double secs = 1.5;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
-        secs = std::strtod(argv[i + 1], nullptr);
-        if (secs <= 0.0) {
+        if (!common::ParseDouble(argv[i + 1], &secs) || secs <= 0.0) {
           std::fprintf(stderr, "--qos wants a positive run-seconds\n");
           return 2;
         }
@@ -1119,8 +1117,8 @@ int main(int argc, char** argv) {
       return RunQos(secs);
     }
     if (std::strcmp(argv[i], "--cluster-nodes") == 0 && i + 1 < argc) {
-      const std::size_t n = std::strtoull(argv[i + 1], nullptr, 10);
-      if (n == 0) {
+      std::uint64_t n = 0;
+      if (!common::ParseU64(argv[i + 1], &n) || n == 0) {
         std::fprintf(stderr, "--cluster-nodes wants a positive count\n");
         return 2;
       }
@@ -1164,8 +1162,8 @@ int main(int argc, char** argv) {
         {bench_util::Table::num(offered, 0),
          bench_util::Table::num(r.achieved_kops, 1),
          std::to_string(st.admitted), std::to_string(rejected),
-         bench_util::Table::num(st.latency_p50_s * 1e6, 1),
-         bench_util::Table::num(st.latency_p99_s * 1e6, 1),
+         bench_util::Table::num(r.p50_s * 1e6, 1),
+         bench_util::Table::num(r.p99_s * 1e6, 1),
          bench_util::Table::num(r.p50_intended_s * 1e6, 1),
          bench_util::Table::num(r.p99_intended_s * 1e6, 1),
          bench_util::Table::num(st.mean_batch_stripes(), 2),
@@ -1176,8 +1174,8 @@ int main(int argc, char** argv) {
          {"achieved_kops", r.achieved_kops},
          {"admitted", static_cast<double>(st.admitted)},
          {"rejected", static_cast<double>(rejected)},
-         {"p50_us", st.latency_p50_s * 1e6},
-         {"p99_us", st.latency_p99_s * 1e6},
+         {"p50_us", r.p50_s * 1e6},
+         {"p99_us", r.p99_s * 1e6},
          {"p50i_us", r.p50_intended_s * 1e6},
          {"p99i_us", r.p99_intended_s * 1e6},
          {"mean_batch", st.mean_batch_stripes()},

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
 
@@ -447,17 +448,8 @@ const char* ModeName(Mode m) {
 }
 
 Mode ModeFromEnv() {
-  const char* v = std::getenv("DIALGA_AIO");
-  if (v == nullptr || *v == '\0') return Mode::kAuto;
-  if (const auto m = ParseMode(v)) return *m;
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "dialga: DIALGA_AIO '%s' not recognized "
-                 "(stdio|uring|auto); using auto\n",
-                 v);
-  }
-  return Mode::kAuto;
+  return common::EnvEnum("DIALGA_AIO", Mode::kAuto, ParseMode,
+                         "is not one of stdio|uring|auto; using auto");
 }
 
 Backend SelectBackend(Mode m) {

@@ -52,7 +52,7 @@ enum class Backend { kStdio, kUring };
 std::optional<Mode> ParseMode(std::string_view s);
 const char* ModeName(Mode m);
 /// DIALGA_AIO, parsed once per call; unset or unparseable → kAuto
-/// (unparseable warns on stderr).
+/// (an unparseable value warns once on stderr).
 Mode ModeFromEnv();
 Backend SelectBackend(Mode m);
 const char* BackendName(Backend b);

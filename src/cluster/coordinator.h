@@ -29,6 +29,7 @@
 #include "cluster/token_bucket.h"
 #include "cluster/transport.h"
 #include "cluster/wire.h"
+#include "common/clock.h"
 #include "ec/codec.h"
 #include "svc/governor.h"
 #include "svc/retry.h"
@@ -50,7 +51,7 @@ struct CoordinatorConfig {
   svc::RetryPolicy store_retry{.max_retries = 2};
   /// Injectable clock/sleep (tests pin it to virtual time so the
   /// bandwidth invariant is checked deterministically).
-  VirtualTime time = VirtualTime::Real();
+  common::Clock time = common::Clock::Real();
   /// After a degraded read caused by a missing/corrupt chunk whose
   /// home is up, write the reconstructed chunk back in place so the
   /// next read is healthy again (read-repair).

@@ -36,7 +36,7 @@ struct LocalClusterConfig {
   double rebuild_rate_bps = 0.0;
   double rate_burst_bytes = 0.0;
   svc::RetryPolicy store_retry{.max_retries = 2};
-  VirtualTime time = VirtualTime::Real();
+  common::Clock time = common::Clock::Real();
   std::size_t service_threads = 2;
   /// Optional shared bandwidth governor for the coordinator's repair
   /// buckets (non-owning; must outlive the cluster).

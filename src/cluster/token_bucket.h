@@ -1,43 +1,17 @@
 // Token-bucket rate limiter for the repair orchestrator's per-class
-// bandwidth caps (scrub reads, rebuild writes). Time is injectable so
-// seeded chaos tests enforce the bandwidth invariant in deterministic
-// virtual time while production uses the steady clock.
+// bandwidth caps (scrub reads, rebuild writes). Time is a common::Clock
+// so seeded chaos tests enforce the bandwidth invariant in
+// deterministic virtual time while production uses the steady clock.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <thread>
+
+#include "common/clock.h"
 
 namespace cluster {
-
-/// Injectable clock + sleep pair. Real() is the steady clock with a
-/// real sleep; tests supply a manual counter whose sleep advances it,
-/// so throttle() converges without wall-clock time passing.
-struct VirtualTime {
-  std::function<std::uint64_t()> now_ns;
-  std::function<void(std::uint64_t)> sleep_ns;
-
-  static VirtualTime Real() {
-    return {
-        [] {
-          return static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now().time_since_epoch())
-                  .count());
-        },
-        [](std::uint64_t ns) {
-          std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-        }};
-  }
-
-  static VirtualTime Manual(std::uint64_t* t) {
-    return {[t] { return *t; }, [t](std::uint64_t ns) { *t += ns; }};
-  }
-};
 
 class TokenBucket {
  public:
@@ -45,7 +19,7 @@ class TokenBucket {
   /// second of rate (so a cold bucket admits an initial burst) and is
   /// clamped to at least one byte so progress is always possible.
   TokenBucket(double rate_bytes_per_sec, double burst_bytes,
-              VirtualTime time = VirtualTime::Real())
+              common::Clock time = common::Clock::Real())
       : rate_(rate_bytes_per_sec),
         burst_(std::max(1.0, burst_bytes > 0 ? burst_bytes
                                              : rate_bytes_per_sec)),
@@ -122,7 +96,7 @@ class TokenBucket {
 
   const double rate_;
   const double burst_;
-  VirtualTime time_;
+  common::Clock time_;
   std::mutex mu_;
   double tokens_;          // guarded by mu_
   std::uint64_t last_ns_;  // guarded by mu_

@@ -9,7 +9,7 @@
 #include <fstream>
 #include <limits>
 
-#include "dialga/registry.h"
+#include "common/env.h"
 #include "integrity/checksum.h"
 #include "obs/metrics.h"
 
@@ -141,12 +141,12 @@ SelectorOptions SelectorOptions::FromEnv(SelectorOptions base) {
     base.plan_cache_path = ExpandHome(path);
     base.enabled = true;
   }
-  base.enabled = EnvFlag("DIALGA_SELECTOR", base.enabled);
-  base.learn = EnvFlag("DIALGA_SELECTOR_LEARN", base.learn);
-  base.confidence_margin =
-      EnvDouble("DIALGA_SELECTOR_MARGIN", base.confidence_margin, 0.0, 2.0);
-  base.seed = EnvUint64("DIALGA_SELECTOR_SEED", base.seed, 0,
-                        std::numeric_limits<std::uint64_t>::max());
+  base.enabled = common::EnvFlag("DIALGA_SELECTOR", base.enabled);
+  base.learn = common::EnvFlag("DIALGA_SELECTOR_LEARN", base.learn);
+  base.confidence_margin = common::EnvDouble(
+      "DIALGA_SELECTOR_MARGIN", base.confidence_margin, 0.0, 2.0);
+  base.seed = common::EnvUint64("DIALGA_SELECTOR_SEED", base.seed, 0,
+                                std::numeric_limits<std::uint64_t>::max());
   return base;
 }
 

@@ -34,51 +34,22 @@
 //
 // Determinism: decisions are pure functions of (options incl. seed,
 // plan-cache state, the feature/reward sequence). The injected
-// VirtualTime only paces cache flushes, never decisions, so tests and
+// common::Clock only paces cache flushes, never decisions, so tests and
 // the --phase-shift bench replay bit-identically.
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <random>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "common/clock.h"
 #include "dialga/policy.h"
 
 namespace dialga {
-
-/// Injectable clock + sleep pair — the cluster::VirtualTime idiom
-/// (src/cluster/token_bucket.h) extended into dialga so learned-
-/// selection tests drive the periodic plan-cache flush in manual time.
-/// Real() is the steady clock; Manual(&t) reads a counter whose sleep
-/// advances it.
-struct VirtualTime {
-  std::function<std::uint64_t()> now_ns;
-  std::function<void(std::uint64_t)> sleep_ns;
-
-  static VirtualTime Real() {
-    return {
-        [] {
-          return static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now().time_since_epoch())
-                  .count());
-        },
-        [](std::uint64_t ns) {
-          std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-        }};
-  }
-
-  static VirtualTime Manual(std::uint64_t* t) {
-    return {[t] { return *t; }, [t](std::uint64_t ns) { *t += ns; }};
-  }
-};
 
 /// One sampling window, featurized for the selector.
 struct WindowFeatures {
@@ -139,10 +110,10 @@ struct SelectorOptions {
   /// destruction and every flush_period_ns of injected time.
   std::string plan_cache_path;
   std::uint64_t flush_period_ns = 30'000'000'000ull;
-  VirtualTime time = VirtualTime::Real();
+  common::Clock time = common::Clock::Real();
 
-  /// Environment overrides, parsed with the hardened helpers in
-  /// dialga/registry.h (malformed values warn on stderr and keep the
+  /// Environment overrides, parsed with the strict helpers in
+  /// common/env.h (malformed values warn on stderr and keep the
   /// default; out-of-range values clamp):
   ///   DIALGA_PLAN_CACHE        cache path (non-empty enables the
   ///                            selector; "~" prefix expands to $HOME)

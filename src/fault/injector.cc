@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
+#include "common/env.h"
 #include "obs/metrics.h"
 
 namespace fault {
@@ -50,9 +52,9 @@ int ParseErrno(const std::string& name, bool* ok) {
   if (name == "EHOSTUNREACH") return EHOSTUNREACH;
   if (name == "ECONNRESET") return ECONNRESET;
   if (name == "EBADMSG") return EBADMSG;
-  char* end = nullptr;
-  const long v = std::strtol(name.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || v <= 0) {
+  std::uint64_t v = 0;
+  if (!common::ParseU64(name.c_str(), &v) || v == 0 ||
+      v > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
     *ok = false;
     return 0;
   }
@@ -265,9 +267,8 @@ bool Injector::install_spec(const std::string& spec, std::string* error_out) {
     if (entry.empty()) continue;
     // Global knob: "seed=N" (no site prefix).
     if (entry.rfind("seed=", 0) == 0) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(entry.c_str() + 5, &end, 10);
-      if (end == nullptr || *end != '\0') {
+      std::uint64_t v = 0;
+      if (!common::ParseU64(entry.c_str() + 5, &v)) {
         return fail("bad seed: '" + entry + "'");
       }
       set_seed(v);
@@ -288,11 +289,9 @@ bool Injector::install_spec(const std::string& spec, std::string* error_out) {
       }
       const std::string key = kv.substr(0, eq);
       const std::string value = kv.substr(eq + 1);
-      char* end = nullptr;
       if (key == "p") {
-        plan.probability = std::strtod(value.c_str(), &end);
-        if (end == nullptr || *end != '\0' || plan.probability < 0.0 ||
-            plan.probability > 1.0) {
+        if (!common::ParseDouble(value.c_str(), &plan.probability) ||
+            plan.probability < 0.0 || plan.probability > 1.0) {
           return fail("bad probability '" + value + "' for " + site);
         }
       } else if (key == "nth") {
@@ -300,21 +299,19 @@ bool Injector::install_spec(const std::string& spec, std::string* error_out) {
         std::istringstream ns(value);
         std::string n;
         while (std::getline(ns, n, '+')) {
-          const unsigned long long v = std::strtoull(n.c_str(), &end, 10);
-          if (end == nullptr || *end != '\0' || v == 0) {
+          std::uint64_t v = 0;
+          if (!common::ParseU64(n.c_str(), &v) || v == 0) {
             return fail("bad nth '" + n + "' for " + site);
           }
           plan.nth.push_back(v);
         }
         if (plan.nth.empty()) return fail("empty nth for " + site);
       } else if (key == "every") {
-        plan.every = std::strtoull(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || plan.every == 0) {
+        if (!common::ParseU64(value.c_str(), &plan.every) || plan.every == 0) {
           return fail("bad every '" + value + "' for " + site);
         }
       } else if (key == "max") {
-        plan.max_fires = std::strtoull(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') {
+        if (!common::ParseU64(value.c_str(), &plan.max_fires)) {
           return fail("bad max '" + value + "' for " + site);
         }
       } else if (key == "err") {
@@ -333,8 +330,8 @@ bool Injector::install_spec(const std::string& spec, std::string* error_out) {
                       " (want bitflip|torn|zero)");
         }
       } else if (key == "span") {
-        const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || v == 0 ||
+        std::uint64_t v = 0;
+        if (!common::ParseU64(value.c_str(), &v) || v == 0 ||
             v > (1ull << 20)) {
           return fail("bad span '" + value + "' for " + site);
         }
@@ -399,24 +396,10 @@ std::string Injector::describe() const {
 }
 
 bool Injector::install_from_env(std::string* error_out) {
-  if (const char* seed = std::getenv("DIALGA_FAULT_SEED")) {
-    // Strict full-string parse: a malformed seed used to silently
-    // become 0 via strtoull, which makes two differently-typo'd CI
-    // legs run the same schedule. Warn and keep the current seed
-    // instead (the reject-with-clamp convention of dialga::Env*).
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(seed, &end, 10);
-    if (*seed == '\0' || *seed == '-' || end == seed || *end != '\0' ||
-        errno == ERANGE) {
-      std::fprintf(stderr,
-                   "fault: DIALGA_FAULT_SEED='%s' is not a valid unsigned "
-                   "integer; keeping seed %llu\n",
-                   seed, static_cast<unsigned long long>(this->seed()));
-    } else {
-      set_seed(static_cast<std::uint64_t>(v));
-    }
-  }
+  // A malformed seed warns and keeps the current one: two differently
+  // typo'd CI legs must not both run seed 0.
+  set_seed(common::EnvUint64("DIALGA_FAULT_SEED", seed(), 0,
+                             std::numeric_limits<std::uint64_t>::max()));
   if (const char* plan = std::getenv("DIALGA_FAULT_PLAN")) {
     return install_spec(plan, error_out);
   }

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/env.h"
 #include "gf/gf_simd_dispatch.h"
 
 namespace gf {
@@ -69,23 +70,17 @@ IsaLevel detect_best() {
 /// runner is visible in the log instead of silently testing the wrong
 /// backend.
 IsaLevel initial_isa() {
-  const char* env = std::getenv("DIALGA_ISA");
-  if (env == nullptr || *env == '\0') return best_isa();
-  const auto parsed = parse_isa(env);
-  if (!parsed) {
-    std::fprintf(stderr,
-                 "gf: DIALGA_ISA='%s' not recognized; using %s\n", env,
-                 isa_name(best_isa()));
-    return best_isa();
-  }
-  if (!isa_supported(*parsed)) {
+  const IsaLevel want = common::EnvEnum(
+      "DIALGA_ISA", best_isa(), parse_isa,
+      "is not one of scalar|ssse3|avx2|avx512|gfni; using the best level");
+  if (!isa_supported(want)) {
     std::fprintf(stderr,
                  "gf: DIALGA_ISA=%s unsupported on this host/build; "
                  "clamping to %s\n",
-                 isa_name(*parsed), isa_name(best_isa()));
+                 isa_name(want), isa_name(best_isa()));
     return best_isa();
   }
-  return *parsed;
+  return want;
 }
 
 /// Single source of truth for the active level. A function-local static

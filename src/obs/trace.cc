@@ -1,9 +1,10 @@
 #include "obs/trace.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
+
+#include "common/env.h"
 
 namespace obs {
 
@@ -28,10 +29,7 @@ Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
 Tracer& Tracer::Global() {
   static Tracer* t = [] {
     auto* tracer = new Tracer;
-    if (const char* env = std::getenv("DIALGA_TRACE");
-        env != nullptr && env[0] != '\0' && std::string(env) != "0") {
-      tracer->set_enabled(true);
-    }
+    tracer->set_enabled(common::EnvFlag("DIALGA_TRACE", false));
     return tracer;
   }();
   return *t;

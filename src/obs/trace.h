@@ -58,8 +58,8 @@ class Tracer {
  public:
   Tracer();
 
-  /// Process-wide tracer; enabled at construction when DIALGA_TRACE is
-  /// set in the environment (any non-empty value but "0").
+  /// Process-wide tracer; enabled at construction when the DIALGA_TRACE
+  /// flag is on (1/true/on/yes; a malformed value warns and stays off).
   static Tracer& Global();
 
   void set_enabled(bool on) {

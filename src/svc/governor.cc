@@ -1,7 +1,6 @@
 #include "svc/governor.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "fault/injector.h"
 #include "obs/metrics.h"
@@ -9,13 +8,6 @@
 namespace svc {
 
 namespace {
-
-std::uint64_t SteadyNowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Process-wide QoS metric families, one labelled series per traffic
 /// class. References cached once; the registry map never sits on the
@@ -104,7 +96,6 @@ BandwidthGovernor::BandwidthGovernor(GovernorConfig cfg)
     cfg_.low_watermark_bytes = cfg_.high_watermark_bytes;
   }
   cfg_.clamp_factor = std::clamp(cfg_.clamp_factor, 0.0, 1.0);
-  now_ns_ = cfg_.now_ns ? cfg_.now_ns : SteadyNowNs;
   RegisterMetrics();
 }
 
@@ -275,7 +266,7 @@ void BandwidthGovernor::poll() {
 }
 
 void BandwidthGovernor::PollLocked() {
-  const std::uint64_t now = now_ns_();
+  const std::uint64_t now = cfg_.time.now_ns();
   // External signals: the DIALGA coordinator's contention gauge (the
   // paper's PMU-derived read-pressure bit) and a deterministic fault
   // site tests drive contention through.

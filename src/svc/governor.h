@@ -34,12 +34,11 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 
+#include "common/clock.h"
 #include "svc/traffic_class.h"
 
 namespace svc {
@@ -80,8 +79,8 @@ struct GovernorConfig {
   /// Oldest a deferred batch may grow before it dispatches
   /// unconditionally (starvation bound for bulk).
   std::uint64_t max_defer_ns = 100'000'000;
-  /// Injectable clock for deterministic tests; default steady_clock.
-  std::function<std::uint64_t()> now_ns;
+  /// Clock for hold and aging deadlines; tests pin it to Manual time.
+  common::Clock time = common::Clock::Real();
 };
 
 /// Point-in-time governor snapshot (one lock acquisition, coherent).
@@ -175,7 +174,6 @@ class BandwidthGovernor {
   void SetPressureLocked(bool on);
 
   GovernorConfig cfg_;
-  std::function<std::uint64_t()> now_ns_;
 
   mutable std::mutex mu_;
   std::array<std::uint64_t, kTrafficClassCount> queued_{};

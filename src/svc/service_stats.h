@@ -55,12 +55,6 @@ struct ServiceStats {
   std::uint64_t dispatched_stripes = 0;
   std::array<std::uint64_t, kBatchBuckets> batch_size_log2{};
 
-  // Service latency (submit -> completion) over a bounded window of
-  // the most recent completions, in seconds.
-  double latency_p50_s = 0.0;
-  double latency_p99_s = 0.0;
-  std::size_t latency_samples = 0;
-
   // Thread-pool counters attributed to this service.
   ec::ThreadPoolStats pool;
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "bench_util/stats.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -118,7 +117,6 @@ void StripeService::Init() {
       return std::make_unique<dialga::DialgaCodec>(k, m);
     };
   }
-  latency_ring_.resize(std::max<std::size_t>(1, cfg_.latency_window));
   pattern_ring_.resize(std::max<std::size_t>(1, cfg_.pattern_window));
   // Instantiate the QoS metric families even for ungoverned services
   // so scrapes expose them before (or without) any governed traffic.
@@ -593,8 +591,6 @@ void StripeService::RecordCompletion(Pending& p, StatusCode status) {
     seconds = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - p.submitted)
                   .count();
-    latency_ring_[latency_next_] = seconds;
-    latency_next_ = (latency_next_ + 1) % latency_ring_.size();
     m.latency.observe(seconds);
     if (cfg_.governor != nullptr) {
       cfg_.governor->observe_latency(p.qos_class(), seconds);
@@ -626,19 +622,6 @@ ServiceStats StripeService::stats() const {
   ServiceStats s = counters_;
   s.queue_high_water = queue_.high_water();
   s.pool = pool_->stats() - pool_baseline_;
-  const std::size_t served = static_cast<std::size_t>(
-      counters_.completed_ok + counters_.decode_failed);
-  const std::size_t n = std::min(served, latency_ring_.size());
-  if (n > 0) {
-    std::vector<double> window;
-    window.reserve(n);
-    // The ring's first n entries are valid; order does not matter for
-    // percentiles.
-    for (std::size_t i = 0; i < n; ++i) window.push_back(latency_ring_[i]);
-    s.latency_p50_s = bench_util::Percentile(window, 0.50);
-    s.latency_p99_s = bench_util::Percentile(window, 0.99);
-    s.latency_samples = n;
-  }
   return s;
 }
 

@@ -69,8 +69,6 @@ class StripeService {
     /// governor paces what the throttled classes may occupy; the side
     /// pool keeps the latency classes' queueing independent of it).
     std::size_t latency_pool_threads = 0;
-    /// Completions kept for the p50/p99 latency window.
-    std::size_t latency_window = 4096;
     /// Admissions kept for the rolling PatternInfo.
     std::size_t pattern_window = 1024;
     /// Builds the codec for a shape with no per-request override. The
@@ -206,8 +204,6 @@ class StripeService {
   std::size_t inflight_encode_ = 0;   // admitted, not yet completed
   std::size_t inflight_decode_ = 0;
   ServiceStats counters_;             // pool/queue fields filled on read
-  std::vector<double> latency_ring_;
-  std::size_t latency_next_ = 0;
   std::vector<StripeShape> pattern_ring_;
   std::size_t pattern_next_ = 0;
   std::size_t pattern_count_ = 0;

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "chaos_seeds.h"
 #include "dialga/dialga.h"
 #include "ec/isal.h"
 #include "ec/parallel.h"
@@ -39,13 +40,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
-
-std::vector<std::uint64_t> ChaosSeeds() {
-  if (const char* env = std::getenv("CHAOS_SEED")) {
-    return {std::strtoull(env, nullptr, 10)};
-  }
-  return {1, 2, 3, 4, 5, 6, 7, 8};
-}
 
 /// Installs a schedule for one seed and guarantees the global injector
 /// is clean afterwards, whatever the test body does.

@@ -16,7 +16,6 @@
 // this binary under ASan+UBSan).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <random>
@@ -24,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "chaos_seeds.h"
 #include "cluster/local_cluster.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
@@ -34,17 +34,9 @@ using cluster::Geometry;
 using cluster::LocalCluster;
 using cluster::LocalClusterConfig;
 using cluster::OpResult;
-using cluster::VirtualTime;
 
 constexpr Geometry kLrc{.k = 4, .global = 2, .local = 2, .block_size = 512};
 constexpr Geometry kRs{.k = 4, .global = 2, .local = 0, .block_size = 512};
-
-std::vector<std::uint64_t> ChaosSeeds() {
-  if (const char* env = std::getenv("CHAOS_SEED")) {
-    return {std::strtoull(env, nullptr, 10)};
-  }
-  return {1, 2, 3, 4, 5, 6, 7, 8};
-}
 
 std::vector<std::vector<std::byte>> MakeStripe(const Geometry& g,
                                                std::uint64_t seed) {
@@ -287,7 +279,7 @@ TEST_F(ClusterChaosTest, RepairNeverExceedsConfiguredRate) {
     cfg.scrub_rate_bps = scrub_bps;
     cfg.rebuild_rate_bps = rebuild_bps;
     cfg.rate_burst_bytes = burst;
-    cfg.time = VirtualTime::Manual(&vnow);
+    cfg.time = common::Clock::Manual(&vnow);
     LocalCluster c(std::move(cfg));
     std::map<std::uint64_t, std::vector<std::vector<std::byte>>> acked;
     for (std::uint64_t s = 0; s < 12; ++s) {

@@ -27,7 +27,6 @@ using cluster::LocalCluster;
 using cluster::LocalClusterConfig;
 using cluster::OpResult;
 using cluster::TokenBucket;
-using cluster::VirtualTime;
 
 constexpr Geometry kRs{.k = 4, .global = 2, .local = 0, .block_size = 1024};
 constexpr Geometry kLrc{.k = 4, .global = 2, .local = 2, .block_size = 1024};
@@ -338,7 +337,7 @@ TEST_F(ClusterTest, PerNodeFaultSitesHitOnlyTheirNode) {
 
 TEST_F(ClusterTest, TokenBucketEnforcesRateInVirtualTime) {
   std::uint64_t now = 0;
-  TokenBucket bucket(1000.0, 500.0, VirtualTime::Manual(&now));
+  TokenBucket bucket(1000.0, 500.0, common::Clock::Manual(&now));
   // Drain far past the burst; every grant beyond it must advance the
   // virtual clock enough that granted <= rate * elapsed + burst.
   for (int i = 0; i < 100; ++i) bucket.throttle(100);
@@ -351,7 +350,7 @@ TEST_F(ClusterTest, TokenBucketEnforcesRateInVirtualTime) {
 
 TEST_F(ClusterTest, TokenBucketOversizedRequestBorrowsWithoutDeadlock) {
   std::uint64_t now = 0;
-  TokenBucket bucket(1000.0, 64.0, VirtualTime::Manual(&now));
+  TokenBucket bucket(1000.0, 64.0, common::Clock::Manual(&now));
   bucket.throttle(1000);  // 15x the burst: must return, not spin
   EXPECT_EQ(bucket.granted(), 1000u);
 }
@@ -389,13 +388,6 @@ TEST_F(ClusterTest, ManifestRejectsGarbage) {
   m.geom = kRs;
   EXPECT_TRUE(
       ClusterManifest::parse(m.serialize() + "future_key 9\n", &out));
-}
-
-TEST_F(ClusterTest, SocketTransportIsAnHonestStub) {
-  cluster::SocketTransport t({{1, "127.0.0.1", 9000}});
-  cluster::Frame req, resp;
-  EXPECT_EQ(t.call(cluster::kClientId, 1, req, &resp), ENOTSUP);
-  EXPECT_EQ(t.name(), "socket");
 }
 
 }  // namespace

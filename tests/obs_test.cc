@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -373,6 +374,17 @@ TEST(Tracer, DumpJsonlEmitsOneLinePerSpan) {
 TEST(Global, RegistryAndTracerAreStableSingletons) {
   EXPECT_EQ(&Registry::Global(), &Registry::Global());
   EXPECT_EQ(&Tracer::Global(), &Tracer::Global());
+}
+
+// DIALGA_TRACE is read once, when the global tracer is first built.
+// The obs_trace_env_{false,off,0} ctest entries rerun this test in
+// fresh processes under falsey spellings, which must leave tracing off.
+TEST(Global, TracerStartsOffUnlessDialgaTraceIsOn) {
+  bool on = false;
+  if (const char* env = common::EnvValue("DIALGA_TRACE")) {
+    common::ParseFlag(env, &on);
+  }
+  EXPECT_EQ(Tracer::Global().enabled(), on);
 }
 
 }  // namespace

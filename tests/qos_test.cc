@@ -7,10 +7,10 @@
 // rebuild-storm case proving a governed flood of bulk encodes never
 // starves degraded reads.
 //
-// Time is injected everywhere (GovernorConfig::now_ns /
-// cluster::VirtualTime::Manual), so the clamp's engage/hold/release
-// cycle and the bucket's pacing are asserted in deterministic virtual
-// time.
+// Time is injected everywhere (common::Clock::Manual in
+// GovernorConfig::time and the token buckets), so the clamp's
+// engage/hold/release cycle and the bucket's pacing are asserted in
+// deterministic virtual time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "chaos_seeds.h"
 #include "cluster/token_bucket.h"
 #include "ec/isal.h"
 #include "fault/injector.h"
@@ -51,7 +52,7 @@ struct ManualGovernor {
   static GovernorConfig WithClock(GovernorConfig cfg, std::uint64_t* t) {
     obs::Registry::Global().gauge("dialga_coord_contention").set(0.0);
     fault::Injector::Global().remove("qos.contention");
-    cfg.now_ns = [t] { return *t; };
+    cfg.time = common::Clock::Manual(t);
     return cfg;
   }
 };
@@ -325,7 +326,7 @@ TEST(Governor, ByteAccountingExactUnderConcurrency) {
 
 TEST(TokenBucket, RateScaleClampsToUnitInterval) {
   std::uint64_t t = 0;
-  cluster::TokenBucket b(1000.0, 1000.0, cluster::VirtualTime::Manual(&t));
+  cluster::TokenBucket b(1000.0, 1000.0, common::Clock::Manual(&t));
   EXPECT_DOUBLE_EQ(b.rate_scale(), 1.0);
   b.set_rate_scale(4.0);
   EXPECT_DOUBLE_EQ(b.rate_scale(), 1.0) << "scale never exceeds 1: the "
@@ -339,7 +340,7 @@ TEST(TokenBucket, RateScaleClampsToUnitInterval) {
 TEST(TokenBucket, ScaledBucketPacesAtScaledRateInVirtualTime) {
   std::uint64_t t = 0;
   cluster::TokenBucket b(1'000'000.0, 1'000'000.0,
-                         cluster::VirtualTime::Manual(&t));
+                         common::Clock::Manual(&t));
   b.throttle(1'000'000);  // drain the initial burst, no wait
   EXPECT_EQ(b.waits(), 0u);
 
@@ -386,16 +387,6 @@ class SlowEncodeCodec : public ec::Codec {
  private:
   const ec::Codec& inner_;
 };
-
-/// Fixed seeds 1..8, narrowed to one by CHAOS_SEED so CI fans the
-/// storm out as a matrix without rebuilding (same contract as
-/// chaos_test).
-std::vector<std::uint64_t> ChaosSeeds() {
-  if (const char* env = std::getenv("CHAOS_SEED")) {
-    return {std::strtoull(env, nullptr, 10)};
-  }
-  return {1, 2, 3, 4, 5, 6, 7, 8};
-}
 
 // Service-level rebuild storm under seeded contention chaos: a
 // governed flood of bulk-encode and rebuild traffic plus degraded

@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "dialga/coordinator.h"
-#include "dialga/registry.h"
 #include "integrity/checksum.h"
 #include "simmem/address_space.h"
 #include "simmem/memory_system.h"
@@ -40,8 +40,8 @@ WindowFeatures SampleFeatures() {
 /// The CI selector job fans the replay tests out over a seed matrix
 /// via DIALGA_SELECTOR_SEED; any seed must replay bit-identically.
 std::uint64_t MatrixSeed(std::uint64_t fallback) {
-  return EnvUint64("DIALGA_SELECTOR_SEED", fallback, 0,
-                   std::numeric_limits<std::uint64_t>::max());
+  return common::EnvUint64("DIALGA_SELECTOR_SEED", fallback, 0,
+                           std::numeric_limits<std::uint64_t>::max());
 }
 
 std::string TempPath(const char* stem) {
@@ -339,7 +339,7 @@ TEST(StrategySelector, PeriodicFlushFollowsInjectedClock) {
   opts.enabled = true;
   opts.plan_cache_path = path;
   opts.flush_period_ns = 1'000'000;
-  opts.time = VirtualTime::Manual(&now);
+  opts.time = common::Clock::Manual(&now);
   StrategySelector sel(opts);
 
   sel.commit(SampleFeatures(), Strategy{});

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "ec/isal.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "svc/stripe_service.h"
 
@@ -157,6 +158,12 @@ TEST(StripeServiceTest, ConcurrentProducersAllCompleteCorrectly) {
   constexpr std::size_t kProducers = 8;
   constexpr std::size_t kPerProducer = 64;
 
+  // Latency has one source: each Result carries its own service
+  // seconds, and the process-wide histogram observes the same value.
+  obs::Histogram& latency = obs::Registry::Global().histogram(
+      "dialga_svc_latency_seconds", obs::LatencyBounds());
+  const std::uint64_t observed_before = latency.snapshot().count;
+
   StripeService service;
   std::vector<std::unique_ptr<StripeSet>> sets;
   for (std::size_t t = 0; t < kProducers; ++t) {
@@ -164,6 +171,7 @@ TEST(StripeServiceTest, ConcurrentProducersAllCompleteCorrectly) {
         kPerProducer, sh, static_cast<unsigned>(1000 + t)));
   }
   std::atomic<std::size_t> ok{0};
+  std::atomic<std::size_t> timed{0};
   std::vector<std::thread> producers;
   for (std::size_t t = 0; t < kProducers; ++t) {
     producers.emplace_back([&, t] {
@@ -173,13 +181,16 @@ TEST(StripeServiceTest, ConcurrentProducersAllCompleteCorrectly) {
             service.submit(sets[t]->encode_request(s, &codec)));
       }
       for (auto& f : done) {
-        if (f.get().ok()) ok.fetch_add(1);
+        const Result r = f.get();
+        if (r.ok()) ok.fetch_add(1);
+        if (r.service_seconds > 0.0) timed.fetch_add(1);
       }
     });
   }
   for (auto& th : producers) th.join();
 
   EXPECT_EQ(ok.load(), kProducers * kPerProducer);
+  EXPECT_EQ(timed.load(), kProducers * kPerProducer);
   // Batched parity is bit-identical to the serial reference.
   for (std::size_t t = 0; t < kProducers; ++t) {
     const auto ref = sets[t]->reference_parity(codec);
@@ -197,8 +208,8 @@ TEST(StripeServiceTest, ConcurrentProducersAllCompleteCorrectly) {
   EXPECT_EQ(st.pool.tasks_run, kProducers * kPerProducer);
   EXPECT_GE(st.batches, 1u);
   EXPECT_GE(st.mean_batch_stripes(), 1.0);
-  EXPECT_GT(st.latency_samples, 0u);
-  EXPECT_GE(st.latency_p99_s, st.latency_p50_s);
+  EXPECT_GE(latency.snapshot().count - observed_before,
+            kProducers * kPerProducer);
 }
 
 TEST(StripeServiceTest, BatchedDecodeRoundTripsBitIdentically) {
@@ -346,6 +357,10 @@ TEST(StripeServiceTest, ShutdownCancelDropsQueuedButFinishesDispatched) {
   GatedFactory gate;
   StripeService::Config cfg;
   cfg.queue_capacity = 32;
+  // The held head request counts toward the per-class cap (default
+  // queue_capacity), so the probe loop below could trip it before the
+  // queue bound; lift it so only the queue bound can reject a probe.
+  cfg.encode_inflight_limit = 2 * cfg.queue_capacity;
   StripeService service(gate.install(std::move(cfg)));
 
   constexpr std::size_t kQueued = 8;

@@ -17,6 +17,7 @@
 #include "bench_util/runner.h"
 #include "bench_util/stats.h"
 #include "bench_util/table.h"
+#include "common/env.h"
 #include "dialga/dialga.h"
 #include "dialga/registry.h"
 
@@ -48,11 +49,22 @@ void Usage() {
                "systems: ISA-L ISA-L-D Zerasure Cerasure DIALGA\n";
 }
 
+/// True when `v` is `a` or `b`, the two spellings an enum flag takes.
+bool OneOf(const char* v, const char* a, const char* b) {
+  return v != nullptr && (std::strcmp(v, a) == 0 || std::strcmp(v, b) == 0);
+}
+
 bool Parse(int argc, char** argv, Options* o) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    auto number = [&](std::size_t* out) {
+      std::uint64_t n = 0;
+      if (!common::ParseU64(value(), &n)) return false;
+      *out = static_cast<std::size_t>(n);
+      return true;
     };
     if (a == "--system") {
       const char* v = value();
@@ -60,49 +72,37 @@ bool Parse(int argc, char** argv, Options* o) {
       o->system = v;
     } else if (a == "--op") {
       const char* v = value();
-      if (!v) return false;
+      if (!OneOf(v, "encode", "decode")) return false;
       o->op = v;
     } else if (a == "--k") {
-      const char* v = value();
-      if (!v) return false;
-      o->k = std::stoul(v);
+      if (!number(&o->k)) return false;
     } else if (a == "--m") {
-      const char* v = value();
-      if (!v) return false;
-      o->m = std::stoul(v);
+      if (!number(&o->m)) return false;
     } else if (a == "--block") {
-      const char* v = value();
-      if (!v) return false;
-      o->block = std::stoul(v);
+      if (!number(&o->block)) return false;
     } else if (a == "--threads") {
-      const char* v = value();
-      if (!v) return false;
-      o->threads = std::stoul(v);
+      if (!number(&o->threads)) return false;
     } else if (a == "--data") {
-      const char* v = value();
-      if (!v) return false;
-      o->data_mib = std::stoul(v);
+      if (!number(&o->data_mib)) return false;
     } else if (a == "--simd") {
       const char* v = value();
-      if (!v) return false;
+      if (!OneOf(v, "avx512", "avx256")) return false;
       o->simd = std::strcmp(v, "avx256") == 0 ? ec::SimdWidth::kAvx256
                                               : ec::SimdWidth::kAvx512;
     } else if (a == "--device") {
       const char* v = value();
-      if (!v) return false;
+      if (!OneOf(v, "optane", "cmmh")) return false;
       o->cmmh = std::strcmp(v, "cmmh") == 0;
     } else if (a == "--freq") {
-      const char* v = value();
-      if (!v) return false;
-      o->freq_ghz = std::stod(v);
+      if (!common::ParseDouble(value(), &o->freq_ghz) || o->freq_ghz < 0) {
+        return false;
+      }
     } else if (a == "--no-hw-prefetch") {
       o->hw_prefetch = false;
     } else if (a == "--csv") {
       o->csv = true;
     } else if (a == "--repeat") {
-      const char* v = value();
-      if (!v) return false;
-      o->repeat = std::stoul(v);
+      if (!number(&o->repeat)) return false;
     } else {
       return false;
     }

@@ -33,6 +33,7 @@
 #include "aio/datapath.h"
 #include "cli/eccli_usage.h"
 #include "cluster/local_cluster.h"
+#include "common/env.h"
 #include "dialga/dialga.h"
 #include "fault/injector.h"
 #include "gf/gf_simd.h"
@@ -89,8 +90,9 @@ bool Parse(int argc, char** argv, Options* opt) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_value = [&](std::size_t* out) {
-      if (i + 1 >= argc) return false;
-      *out = static_cast<std::size_t>(std::stoull(argv[++i]));
+      std::uint64_t v = 0;
+      if (i + 1 >= argc || !common::ParseU64(argv[++i], &v)) return false;
+      *out = static_cast<std::size_t>(v);
       return true;
     };
     if (arg == "--k") {

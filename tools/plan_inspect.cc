@@ -9,11 +9,13 @@
 // per-stripe traffic; with --ops N also dumps the first N ops. Useful
 // for understanding why a configuration behaves the way it does before
 // running the simulator at all.
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 
+#include "common/env.h"
 #include "dialga/dialga.h"
 #include "ec/isal.h"
 #include "ec/isal_decompose.h"
@@ -54,28 +56,37 @@ int main(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A missing or malformed number is a usage error.
+    auto number = [&](std::size_t* out) {
+      std::uint64_t n = 0;
+      if (!common::ParseU64(value(), &n)) {
+        std::cerr << "missing or malformed value for " << a << "\n";
+        std::exit(2);
+      }
+      *out = static_cast<std::size_t>(n);
+    };
     if (a == "--codec") {
       const char* v = value();
       if (!v) return 2;
       codec_name = v;
     } else if (a == "--k") {
-      k = std::stoul(value());
+      number(&k);
     } else if (a == "--m") {
-      m = std::stoul(value());
+      number(&m);
     } else if (a == "--l") {
-      l = std::stoul(value());
+      number(&l);
     } else if (a == "--block") {
-      block = std::stoul(value());
+      number(&block);
     } else if (a == "--shuffle") {
       opts.shuffle_rows = true;
     } else if (a == "--distance") {
-      opts.prefetch_distance = std::stoul(value());
+      number(&opts.prefetch_distance);
     } else if (a == "--xpline-first") {
-      opts.xpline_first_distance = std::stoul(value());
+      number(&opts.xpline_first_distance);
     } else if (a == "--widen") {
       opts.widen_to_xpline = true;
     } else if (a == "--ops") {
-      dump_ops = std::stoul(value());
+      number(&dump_ops);
     } else {
       std::cerr << "unknown flag " << a << "\n";
       return 2;
