@@ -225,38 +225,36 @@ OpResult Coordinator::GlobalReconstruct(std::uint64_t stripe,
                                         std::vector<std::byte>* out) {
   const Geometry& geom = cfg_.geom;
   const std::uint32_t total = geom.total_shards();
-  std::vector<std::vector<std::byte>> buffers(total);
-  std::vector<std::byte*> blocks(total);
-  std::vector<std::size_t> erasures;
-  for (std::uint32_t j = 0; j < total; ++j) {
-    buffers[j].assign(geom.block_size, std::byte{0});
-    blocks[j] = buffers[j].data();
-    if (j == shard) {
-      erasures.push_back(j);
-      continue;
-    }
-    std::vector<std::byte> chunk;
-    if (FetchChunk(stripe, j, table, &chunk) == WireStatus::kOk) {
-      buffers[j] = std::move(chunk);
-      blocks[j] = buffers[j].data();
-    } else {
-      erasures.push_back(j);
-    }
+  // Survivors in index order (data, global parity, local parity),
+  // stopping at k: the same set a decode over every reachable chunk
+  // would pick, without fetching the chunks it would ignore. A chunk
+  // that is unreachable, missing or corrupt is skipped for the next.
+  std::vector<std::vector<std::byte>> chunks(total);
+  std::vector<std::byte*> blocks(total, nullptr);
+  std::vector<std::size_t> present;
+  present.reserve(geom.k);
+  for (std::uint32_t j = 0; j < total && present.size() < geom.k; ++j) {
+    if (j == shard) continue;
+    if (FetchChunk(stripe, j, table, &chunks[j]) != WireStatus::kOk) continue;
+    blocks[j] = chunks[j].data();
+    present.push_back(j);
   }
-  if (total - erasures.size() < geom.k) {
+  if (present.size() < geom.k) {
     QuorumLoss().inc();
     return {OpResult::Code::kQuorumLoss,
-            std::to_string(total - erasures.size()) + " of " +
+            std::to_string(present.size()) + " of " +
                 std::to_string(geom.k) + " required survivors"};
   }
-  if (!CodecFor(geom).decode(geom.block_size,
-                             std::span<std::byte* const>(blocks),
-                             std::span<const std::size_t>(erasures))) {
+  out->resize(geom.block_size);
+  blocks[shard] = out->data();
+  if (!CodecFor(geom).reconstruct(geom.block_size,
+                                  std::span<std::byte* const>(blocks),
+                                  std::span<const std::size_t>(present),
+                                  shard)) {
     QuorumLoss().inc();
     return {OpResult::Code::kQuorumLoss, "decode failed"};
   }
   DegradedCounter(false).inc();
-  *out = std::move(buffers[shard]);
   return {OpResult::Code::kDegraded, "global reconstruction"};
 }
 
@@ -266,16 +264,26 @@ OpResult Coordinator::DegradedRead(std::uint64_t stripe, std::uint32_t shard,
   const Geometry& geom = cfg_.geom;
   // Local first: ask a surviving member of the target's group to XOR
   // the group — group_size reads inside one failure domain, no global
-  // parity traffic.
-  if (geom.group_of(shard) >= 0) {
+  // parity traffic. The helper needs every other member, so when one of
+  // them is already known down (often it shares the target's dead
+  // home) the RPC could only answer kNeedGlobal: go global directly.
+  const int group = geom.group_of(shard);
+  const std::vector<std::uint32_t> members =
+      group >= 0 ? geom.group_members(static_cast<std::uint32_t>(group))
+                 : std::vector<std::uint32_t>{};
+  const bool group_up =
+      !members.empty() &&
+      std::all_of(members.begin(), members.end(), [&](std::uint32_t m) {
+        return m == shard || NodeUp(table[m]);
+      });
+  if (group_up) {
     Frame req;
     req.type = MsgType::kDegradedRead;
     req.stripe = stripe;
     req.shard = shard;
     req.geom = geom;
     req.placement = table;
-    for (const std::uint32_t member : geom.group_members(
-             static_cast<std::uint32_t>(geom.group_of(shard)))) {
+    for (const std::uint32_t member : members) {
       if (member == shard) continue;
       const NodeId helper = table[member];
       if (helper == table[shard] || !NodeUp(helper)) continue;

@@ -124,8 +124,9 @@ class Coordinator {
 
   /// Read one shard's chunk. Healthy path is a single RPC to the home
   /// node; a miss goes degraded: local LRC group first (one
-  /// kDegradedRead to a surviving group member), global reconstruction
-  /// at the coordinator only after that.
+  /// kDegradedRead to a surviving group member, unless a member is
+  /// already known down), global reconstruction at the coordinator
+  /// from k survivors after that.
   OpResult read_block(std::uint64_t stripe, std::uint32_t shard,
                       std::vector<std::byte>* out);
 
@@ -186,12 +187,15 @@ class Coordinator {
   WireStatus FetchChunk(std::uint64_t stripe, std::uint32_t shard,
                         const std::vector<NodeId>& table,
                         std::vector<std::byte>* out);
-  /// Degraded read: group member first, then global. Fills *out and
-  /// reports which scope served it.
+  /// Degraded read: group member first (skipped when another member is
+  /// known down), then global. Fills *out and reports which scope
+  /// served it.
   OpResult DegradedRead(std::uint64_t stripe, std::uint32_t shard,
                         const std::vector<NodeId>& table,
                         std::vector<std::byte>* out);
-  /// Global reconstruction at the coordinator (gather >= k, decode).
+  /// Global reconstruction at the coordinator: fetch the first k
+  /// reachable survivors in shard order and rebuild only `shard` into
+  /// *out (its contents are unspecified on failure).
   OpResult GlobalReconstruct(std::uint64_t stripe, std::uint32_t shard,
                              const std::vector<NodeId>& table,
                              std::vector<std::byte>* out);

@@ -8,6 +8,7 @@
 #include "dialga/dialga.h"
 #include "ec/lrc.h"
 #include "fault/injector.h"
+#include "gf/gf_simd.h"
 
 namespace cluster {
 
@@ -265,6 +266,34 @@ WireStatus Node::FetchRemote(const Frame& ctx, std::uint32_t shard,
   return WireStatus::kOk;
 }
 
+WireStatus Node::GroupXor(const Frame& ctx, std::uint32_t target,
+                          std::vector<std::byte>* out) {
+  const Geometry& geom = ctx.geom;
+  const int group = geom.group_of(target);
+  if (group < 0) return WireStatus::kNeedGlobal;
+  const std::size_t bs = geom.block_size;
+  std::vector<std::byte> acc;
+  for (const std::uint32_t member :
+       geom.group_members(static_cast<std::uint32_t>(group))) {
+    if (member == target) continue;
+    std::vector<std::byte> chunk;
+    if (FetchRemote(ctx, member, &chunk) != WireStatus::kOk ||
+        chunk.size() != bs) {
+      return WireStatus::kNeedGlobal;
+    }
+    // The first member seeds the accumulator; the rest XOR into it.
+    if (acc.empty()) {
+      acc = std::move(chunk);
+    } else {
+      gf::xor_acc(chunk.data(), acc.data(), bs);
+    }
+  }
+  // A group whose only member is the target XORs to zero.
+  if (acc.empty()) acc.assign(bs, std::byte{0});
+  *out = std::move(acc);
+  return WireStatus::kOk;
+}
+
 WireStatus Node::Reconstruct(const Frame& ctx, std::uint32_t target,
                              std::vector<std::byte>* out,
                              std::uint64_t* scope) {
@@ -274,26 +303,9 @@ WireStatus Node::Reconstruct(const Frame& ctx, std::uint32_t target,
   // Local-group XOR first: the group's local parity is the XOR of its
   // data shards, so any single missing member is the XOR of the rest —
   // group_size reads instead of k, all inside one failure domain.
-  const int group = geom.group_of(target);
-  if (group >= 0) {
-    std::vector<std::byte> acc(bs, std::byte{0});
-    bool all_present = true;
-    for (const std::uint32_t member :
-         geom.group_members(static_cast<std::uint32_t>(group))) {
-      if (member == target) continue;
-      std::vector<std::byte> chunk;
-      if (FetchRemote(ctx, member, &chunk) != WireStatus::kOk ||
-          chunk.size() != bs) {
-        all_present = false;
-        break;
-      }
-      for (std::size_t i = 0; i < bs; ++i) acc[i] ^= chunk[i];
-    }
-    if (all_present) {
-      *out = std::move(acc);
-      *scope = 0;  // local
-      return WireStatus::kOk;
-    }
+  if (GroupXor(ctx, target, out) == WireStatus::kOk) {
+    *scope = 0;  // local
+    return WireStatus::kOk;
   }
 
   // Global path: gather every reachable shard, mark the rest erased,
@@ -442,21 +454,10 @@ Frame Node::HandleDegradedRead(const Frame& req) {
   // target from its group. Anything needing the global parities is the
   // coordinator's job (kNeedGlobal), so the scope accounting — and the
   // locality invariant the chaos tests check — stays honest.
-  if (geom.group_of(req.shard) < 0) {
+  std::vector<std::byte> acc;
+  if (GroupXor(req, req.shard, &acc) != WireStatus::kOk) {
     return MakeResp(req, MsgType::kDegradedReadResp,
                     WireStatus::kNeedGlobal);
-  }
-  std::vector<std::byte> acc(geom.block_size, std::byte{0});
-  for (const std::uint32_t member : geom.group_members(
-           static_cast<std::uint32_t>(geom.group_of(req.shard)))) {
-    if (member == req.shard) continue;
-    std::vector<std::byte> chunk;
-    if (FetchRemote(req, member, &chunk) != WireStatus::kOk ||
-        chunk.size() != geom.block_size) {
-      return MakeResp(req, MsgType::kDegradedReadResp,
-                      WireStatus::kNeedGlobal);
-    }
-    for (std::size_t i = 0; i < chunk.size(); ++i) acc[i] ^= chunk[i];
   }
   Frame resp = MakeResp(req, MsgType::kDegradedReadResp, WireStatus::kOk);
   resp.aux = 0;  // local scope

@@ -107,6 +107,12 @@ class Node {
                     const std::vector<const std::byte*>& data,
                     const std::vector<std::byte*>& parity);
 
+  /// XOR of every other member of `target`'s local group into *out:
+  /// kOk, or kNeedGlobal when the target has no group or a member
+  /// cannot be fetched (*out untouched then).
+  WireStatus GroupXor(const Frame& ctx, std::uint32_t target,
+                      std::vector<std::byte>* out);
+
   /// Reconstruct one shard of a stripe: local-group XOR when the
   /// geometry has groups and every other member is reachable (scope
   /// set to 0), full decode over >= k survivors otherwise (scope 1).

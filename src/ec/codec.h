@@ -47,6 +47,18 @@ class Codec {
                       std::span<std::byte* const> blocks,
                       std::span<const std::size_t> erasures) const = 0;
 
+  /// Rebuild the single block `target` from exactly the k survivors
+  /// listed in `present` (distinct indices, none equal to `target`).
+  /// Only blocks[target] and the present blocks are touched; every
+  /// other pointer may be null. Returns false on a malformed request or
+  /// when the survivor set is singular. The default runs decode() with
+  /// throwaway blocks for the other erasures; systematic GF(2^8) codecs
+  /// override it to compute the target row alone.
+  virtual bool reconstruct(std::size_t block_size,
+                           std::span<std::byte* const> blocks,
+                           std::span<const std::size_t> present,
+                           std::size_t target) const;
+
   /// Memory access pattern of one stripe encode.
   virtual EncodePlan encode_plan(std::size_t block_size,
                                  const simmem::ComputeCost& cost) const = 0;

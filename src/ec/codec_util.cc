@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cstring>
+#include <numeric>
 
 #include "obs/metrics.h"
 
@@ -236,6 +237,41 @@ bool SystematicDecode(const gf::Matrix& gen, std::size_t k, std::size_t m,
                                              blocks.begin() + k);
     FusedEncode(cache, block_size, src_blocks, parity_out, opts);
   }
+  return true;
+}
+
+bool ReconstructArgsValid(std::size_t k, std::size_t total,
+                          std::span<const std::size_t> present,
+                          std::size_t target) {
+  if (target >= total || present.size() != k) return false;
+  std::vector<bool> seen(total, false);
+  for (const std::size_t i : present) {
+    if (i >= total || i == target || seen[i]) return false;
+    seen[i] = true;
+  }
+  return true;
+}
+
+bool SystematicReconstruct(const gf::Matrix& gen, std::size_t k,
+                           std::size_t m, std::size_t block_size,
+                           std::span<std::byte* const> blocks,
+                           std::span<const std::size_t> present,
+                           std::size_t target) {
+  if (blocks.size() != k + m ||
+      !ReconstructArgsValid(k, k + m, present, target)) {
+    return false;
+  }
+  std::vector<std::size_t> all_data(k);
+  std::iota(all_data.begin(), all_data.end(), 0);
+  const auto inv = gf::decode_matrix(gen, present, all_data);
+  if (!inv) return false;
+  const gf::Matrix row = gen.slice_rows(target, 1) * *inv;
+
+  const CoeffCache cache(row, 0, 1, k);
+  std::vector<const std::byte*> srcs(k);
+  for (std::size_t c = 0; c < k; ++c) srcs[c] = blocks[present[c]];
+  std::byte* const out[] = {blocks[target]};
+  FusedEncode(cache, block_size, srcs, out);
   return true;
 }
 

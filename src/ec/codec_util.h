@@ -118,4 +118,22 @@ bool SystematicDecode(const gf::Matrix& gen, std::size_t k, std::size_t m,
                       std::span<const std::size_t> erasures,
                       const HostKernelOptions& opts = {});
 
+/// True when `present` names k distinct blocks of a `total`-block
+/// stripe, none of them `target`, and `target` is in range — the
+/// request shape Codec::reconstruct accepts.
+bool ReconstructArgsValid(std::size_t k, std::size_t total,
+                          std::span<const std::size_t> present,
+                          std::size_t target);
+
+/// Codec::reconstruct over a systematic generator (k + m rows): the
+/// target's coefficient row is gen[target] x inv(gen[present]) — for a
+/// data target that is one decode-matrix row — and one single-output
+/// FusedEncode pass applies it to the k present blocks. Returns false
+/// on a malformed request or a singular survivor set.
+bool SystematicReconstruct(const gf::Matrix& gen, std::size_t k,
+                           std::size_t m, std::size_t block_size,
+                           std::span<std::byte* const> blocks,
+                           std::span<const std::size_t> present,
+                           std::size_t target);
+
 }  // namespace ec

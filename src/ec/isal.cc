@@ -183,6 +183,14 @@ bool IsalCodec::decode(std::size_t block_size,
   return decode_with(block_size, blocks, erasures, HostKernelOptions{});
 }
 
+bool IsalCodec::reconstruct(std::size_t block_size,
+                            std::span<std::byte* const> blocks,
+                            std::span<const std::size_t> present,
+                            std::size_t target) const {
+  return SystematicReconstruct(gen_, k_, m_, block_size, blocks, present,
+                               target);
+}
+
 void IsalCodec::encode_with(std::size_t block_size,
                             std::span<const std::byte* const> data,
                             std::span<std::byte* const> parity,

@@ -73,6 +73,9 @@ class IsalCodec : public Codec {
               std::span<std::byte* const> parity) const override;
   bool decode(std::size_t block_size, std::span<std::byte* const> blocks,
               std::span<const std::size_t> erasures) const override;
+  bool reconstruct(std::size_t block_size, std::span<std::byte* const> blocks,
+                   std::span<const std::size_t> present,
+                   std::size_t target) const override;
 
   /// Host-execution entry points with explicit kernel options — how a
   /// DIALGA strategy's software-prefetch distance reaches the fused

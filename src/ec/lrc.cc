@@ -93,6 +93,14 @@ bool LrcCodec::decode(std::size_t block_size,
                           blocks, erasures);
 }
 
+bool LrcCodec::reconstruct(std::size_t block_size,
+                           std::span<std::byte* const> blocks,
+                           std::span<const std::size_t> present,
+                           std::size_t target) const {
+  return SystematicReconstruct(combined_generator(), k_, m_ + l_, block_size,
+                               blocks, present, target);
+}
+
 EncodePlan LrcCodec::encode_plan(std::size_t block_size,
                                  const simmem::ComputeCost& cost) const {
   std::vector<std::size_t> sources(k_);

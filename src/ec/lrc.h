@@ -36,6 +36,11 @@ class LrcCodec : public Codec {
               std::span<std::byte* const> parity) const override;
   bool decode(std::size_t block_size, std::span<std::byte* const> blocks,
               std::span<const std::size_t> erasures) const override;
+  /// One target row over the combined generator (global and local
+  /// parities alike), via SystematicReconstruct.
+  bool reconstruct(std::size_t block_size, std::span<std::byte* const> blocks,
+                   std::span<const std::size_t> present,
+                   std::size_t target) const override;
 
   EncodePlan encode_plan(std::size_t block_size,
                          const simmem::ComputeCost& cost) const override;

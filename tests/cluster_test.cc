@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <random>
+#include <set>
 
 #include "cluster/coordinator.h"
 #include "cluster/token_bucket.h"
@@ -185,6 +186,215 @@ TEST_F(ClusterTest, QuorumLossIsNamedNotSilent) {
   EXPECT_EQ(r.code, OpResult::Code::kQuorumLoss);
   EXPECT_FALSE(r.ok());
   EXPECT_GT(CounterValue("dialga_cluster_quorum_loss_total", {}), 0u);
+}
+
+TEST_F(ClusterTest, LocalDegradedReadAtOddBlockSize) {
+  // The helper's group XOR runs the vector kernel; a block size that is
+  // not a multiple of 64 exercises its tail. Each member of group 0 is
+  // read with its home down: data targets and the local parity alike.
+  constexpr Geometry kOdd{.k = 4, .global = 2, .local = 2, .block_size = 1000};
+  LocalCluster c(Cfg(9, 3, kOdd));
+  const auto data = MakeStripe(kOdd, 13);
+  const auto ptrs = Ptrs(data);
+  ASSERT_TRUE(c.coordinator()
+                  .write_stripe(3, std::span<const std::byte* const>(ptrs))
+                  .ok());
+  const auto table = c.placement().table(3, kOdd);
+  std::vector<std::vector<std::byte>> want(kOdd.total_shards());
+  for (std::uint32_t j = 0; j < kOdd.total_shards(); ++j) {
+    ASSERT_TRUE(c.coordinator().read_block(3, j, &want[j]).ok());
+  }
+  for (const std::uint32_t shard : kOdd.group_members(0)) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    const std::uint64_t local_before = CounterValue(
+        "dialga_cluster_degraded_read_total", {{"scope", "local"}});
+    c.kill(table[shard] - 1);
+    std::vector<std::byte> out;
+    const OpResult r = c.coordinator().read_block(3, shard, &out);
+    c.revive(table[shard] - 1);
+    ASSERT_EQ(r.code, OpResult::Code::kDegraded) << r.detail;
+    EXPECT_EQ(out, want[shard]);
+    EXPECT_EQ(CounterValue("dialga_cluster_degraded_read_total",
+                           {{"scope", "local"}}),
+              local_before + 1);
+  }
+  EXPECT_EQ(want[0], data[0]);
+}
+
+// The benchmark's cluster shape: 8 nodes in 4 two-node domains, so a
+// three-member local group shares one domain and often one node.
+constexpr Geometry kLrc8{.k = 4, .global = 2, .local = 2, .block_size = 4096};
+
+/// Two members a < b of one local group homed on the same node; a is
+/// always a data shard (the local parity is the group's last member).
+struct ColocatedPair {
+  std::uint64_t stripe = 0;
+  std::uint32_t a = 0, b = 0;
+};
+
+/// The first stripe whose table co-locates two members of a group.
+ColocatedPair FindColocatedPair(LocalCluster& c) {
+  for (std::uint64_t s = 0;; ++s) {
+    const auto table = c.placement().table(s, kLrc8);
+    for (std::uint32_t g = 0; g < kLrc8.groups(); ++g) {
+      const auto members = kLrc8.group_members(g);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        for (std::size_t j = i + 1; j < members.size(); ++j) {
+          if (table[members[i]] == table[members[j]]) {
+            return {s, members[i], members[j]};
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Healthy-path copy of every shard of `stripe` (data and parity).
+std::vector<std::vector<std::byte>> ReadAllShards(LocalCluster& c,
+                                                  std::uint64_t stripe) {
+  std::vector<std::vector<std::byte>> all(kLrc8.total_shards());
+  for (std::uint32_t j = 0; j < kLrc8.total_shards(); ++j) {
+    EXPECT_EQ(c.coordinator().read_block(stripe, j, &all[j]).code,
+              OpResult::Code::kOk);
+  }
+  return all;
+}
+
+TEST_F(ClusterTest, ColocatedGroupLossReadsKSurvivorsWithoutLocalAttempt) {
+  LocalCluster c(Cfg(8, 4, kLrc8));
+  const ColocatedPair pair = FindColocatedPair(c);
+  const std::uint64_t stripe = pair.stripe;
+  const auto data = MakeStripe(kLrc8, 41);
+  const auto ptrs = Ptrs(data);
+  ASSERT_TRUE(c.coordinator()
+                  .write_stripe(stripe, std::span<const std::byte* const>(ptrs))
+                  .ok());
+  const auto want = ReadAllShards(c, stripe);
+  const auto table = c.placement().table(stripe, kLrc8);
+  const cluster::NodeId dead = table[pair.a];
+  c.kill(dead - 1);
+  c.coordinator().heartbeat();
+
+  auto counter = [](const char* name, const char* key, const char* value) {
+    return CounterValue(name, {{key, value}});
+  };
+  std::size_t global_reads = 0;
+  for (std::uint32_t j = 0; j < kLrc8.total_shards(); ++j) {
+    SCOPED_TRACE("shard " + std::to_string(j));
+    // A read goes local only when the target has a group and no other
+    // member lives on the dead node.
+    bool local = kLrc8.group_of(j) >= 0;
+    if (local) {
+      for (const std::uint32_t m :
+           kLrc8.group_members(static_cast<std::uint32_t>(kLrc8.group_of(j)))) {
+        if (m != j && table[m] == dead) local = false;
+      }
+    }
+    const auto global0 = counter("dialga_cluster_degraded_read_total",
+                                 "scope", "global");
+    const auto local0 = counter("dialga_cluster_degraded_read_total",
+                                "scope", "local");
+    const auto reads0 = counter("dialga_cluster_rpc_total", "type", "read");
+    const auto dreads0 =
+        counter("dialga_cluster_rpc_total", "type", "degraded-read");
+    std::vector<std::byte> out;
+    const OpResult r = c.coordinator().read_block(stripe, j, &out);
+    EXPECT_EQ(out, want[j]);
+    const auto global1 = counter("dialga_cluster_degraded_read_total",
+                                 "scope", "global");
+    const auto local1 = counter("dialga_cluster_degraded_read_total",
+                                "scope", "local");
+    const auto reads1 = counter("dialga_cluster_rpc_total", "type", "read");
+    const auto dreads1 =
+        counter("dialga_cluster_rpc_total", "type", "degraded-read");
+    if (table[j] != dead) {
+      EXPECT_EQ(r.code, OpResult::Code::kOk) << r.detail;
+      EXPECT_EQ(reads1 - reads0, 1u);
+      EXPECT_EQ(global1, global0);
+      EXPECT_EQ(local1, local0);
+    } else if (local) {
+      EXPECT_EQ(r.code, OpResult::Code::kDegraded) << r.detail;
+      EXPECT_EQ(local1 - local0, 1u);
+      EXPECT_EQ(dreads1 - dreads0, 1u);
+      EXPECT_EQ(global1, global0);
+    } else {
+      EXPECT_EQ(r.code, OpResult::Code::kDegraded) << r.detail;
+      EXPECT_EQ(global1 - global0, 1u);
+      EXPECT_EQ(reads1 - reads0, kLrc8.k) << "fetches beyond the k survivors";
+      EXPECT_EQ(dreads1, dreads0) << "local attempt that cannot succeed";
+      EXPECT_EQ(local1, local0);
+      ++global_reads;
+    }
+  }
+  // At least the two co-located group members went global.
+  EXPECT_GE(global_reads, 2u);
+  for (std::uint32_t j = 0; j < kLrc8.k; ++j) EXPECT_EQ(want[j], data[j]);
+}
+
+TEST_F(ClusterTest, CorruptSurvivorIsReplacedByTheNextOne) {
+  LocalCluster c(Cfg(8, 4, kLrc8));
+  const ColocatedPair pair = FindColocatedPair(c);
+  const std::uint64_t stripe = pair.stripe;
+  const auto data = MakeStripe(kLrc8, 42);
+  const auto ptrs = Ptrs(data);
+  ASSERT_TRUE(c.coordinator()
+                  .write_stripe(stripe, std::span<const std::byte* const>(ptrs))
+                  .ok());
+  const auto want = ReadAllShards(c, stripe);
+  const auto table = c.placement().table(stripe, kLrc8);
+  // Target: a data member whose group mate shares its home, so the read
+  // must go global.
+  const std::uint32_t target = pair.a;
+  const cluster::NodeId dead = table[target];
+  c.kill(dead - 1);
+  c.coordinator().heartbeat();
+  // Corrupt the first survivor the fetch order reaches.
+  std::uint32_t first = 0;
+  while (first == target || table[first] == dead) ++first;
+  ASSERT_TRUE(c.node(table[first] - 1).corrupt_chunk(stripe, first));
+
+  const std::uint64_t reads0 =
+      CounterValue("dialga_cluster_rpc_total", {{"type", "read"}});
+  std::vector<std::byte> out;
+  const OpResult r = c.coordinator().read_block(stripe, target, &out);
+  ASSERT_EQ(r.code, OpResult::Code::kDegraded) << r.detail;
+  EXPECT_EQ(out, want[target]);
+  EXPECT_EQ(CounterValue("dialga_cluster_rpc_total", {{"type", "read"}}) -
+                reads0,
+            kLrc8.k + 1u);
+}
+
+TEST_F(ClusterTest, QuorumLossNamesTheSurvivorCount) {
+  LocalCluster c(Cfg(8, 4, kLrc8));
+  const auto data = MakeStripe(kLrc8, 43);
+  const auto ptrs = Ptrs(data);
+  ASSERT_TRUE(c.coordinator()
+                  .write_stripe(6, std::span<const std::byte* const>(ptrs))
+                  .ok());
+  const auto table = c.placement().table(6, kLrc8);
+  // Take homes down in shard order until fewer than k other shards are
+  // reachable; k + 1 homes always suffice.
+  std::set<cluster::NodeId> down;
+  auto survivors = [&] {
+    std::uint32_t n = 0;
+    for (std::uint32_t j = 1; j < kLrc8.total_shards(); ++j) {
+      n += down.count(table[j]) == 0;
+    }
+    return n;
+  };
+  for (std::uint32_t j = 0; survivors() >= kLrc8.k; ++j) {
+    down.insert(table[j]);
+    c.kill(table[j] - 1);
+  }
+  EXPECT_LE(down.size(), kLrc8.k + 1);
+  c.coordinator().heartbeat();
+  const std::uint64_t losses =
+      CounterValue("dialga_cluster_quorum_loss_total", {});
+  std::vector<std::byte> out;
+  const OpResult r = c.coordinator().read_block(6, 0, &out);
+  EXPECT_EQ(r.code, OpResult::Code::kQuorumLoss);
+  EXPECT_EQ(r.detail, std::to_string(survivors()) + " of 4 required survivors");
+  EXPECT_EQ(CounterValue("dialga_cluster_quorum_loss_total", {}), losses + 1);
 }
 
 TEST_F(ClusterTest, ScrubRepairsDroppedAndCorruptChunks) {

@@ -6,7 +6,9 @@
 #include <vector>
 
 #include "ec/codec_util.h"
+#include "ec/xor_codec.h"
 #include "gf/gf_simd.h"
+#include "reconstruct_check.h"
 
 namespace ec {
 namespace {
@@ -215,6 +217,49 @@ TEST(IsalCodec, RoundTripAcrossPrefetchDistancesAndChunkSizes) {
       ASSERT_TRUE(codec.decode_with(bs, b.all_ptrs, erasures, opts));
       ASSERT_EQ(b.storage, golden.storage) << "d=" << d << " chunk=" << chunk;
     }
+  }
+}
+
+class ReconstructTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ReconstructTest, RsEveryTargetFromEveryKSubset) {
+  // RS(6,3) is MDS: all 9 x C(8,6) requests rebuild the target.
+  const IsalCodec rs(6, 3);
+  const ReconstructTally t =
+      ReconstructEveryKSubset(rs, rs.generator(), GetParam(), 21);
+  EXPECT_EQ(t.requests, 9u * 28u);
+  EXPECT_EQ(t.singular, 0u);
+}
+
+TEST_P(ReconstructTest, DefaultPathThroughXorCodec) {
+  // XorCodec keeps Codec::reconstruct's default: decode() with spare blocks
+  // for the erasures other than the target.
+  const auto xc = MakeCerasure(4, 2, 0);
+  ASSERT_NE(xc, nullptr);
+  const ReconstructTally t =
+      ReconstructEveryKSubset(*xc, xc->generator(), GetParam(), 22);
+  EXPECT_EQ(t.requests, 6u * 5u);
+  EXPECT_EQ(t.singular, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockSizes, ReconstructTest,
+                         ::testing::Values(std::size_t{4096},
+                                           std::size_t{1000}));
+
+TEST(IsalCodec, ReconstructRejectsMalformedRequests) {
+  const IsalCodec rs(4, 2);
+  const auto xc = MakeCerasure(4, 2, 0);
+  const std::size_t bs = 256;
+  Blocks b = MakeBlocks(4, 2, bs, 23);
+  using V = std::vector<std::size_t>;
+  for (const Codec* c : {static_cast<const Codec*>(&rs),
+                         static_cast<const Codec*>(xc.get())}) {
+    SCOPED_TRACE(c->name());
+    EXPECT_FALSE(c->reconstruct(bs, b.all_ptrs, V{0, 1, 2, 3}, 3));
+    EXPECT_FALSE(c->reconstruct(bs, b.all_ptrs, V{1, 1, 2, 3}, 0));
+    EXPECT_FALSE(c->reconstruct(bs, b.all_ptrs, V{1, 2, 3}, 0));
+    EXPECT_FALSE(c->reconstruct(bs, b.all_ptrs, V{1, 2, 3, 6}, 0));
+    EXPECT_FALSE(c->reconstruct(bs, b.all_ptrs, V{1, 2, 3, 4}, 6));
   }
 }
 

@@ -6,6 +6,8 @@
 
 #include "ec/isal.h"
 #include "gf/gf_simd.h"
+#include "gf/matrix.h"
+#include "reconstruct_check.h"
 
 namespace ec {
 namespace {
@@ -152,6 +154,51 @@ TEST(Lrc, LocalRepairPlanReadsOnlyTheGroup) {
                                             std::vector<std::size_t>{0, 1});
   EXPECT_LT(plan.count(PlanOp::Kind::kLoad),
             global.count(PlanOp::Kind::kLoad));
+}
+
+/// The combined generator LRC(k, m, l) decodes over: identity, the
+/// Cauchy global rows, then one 0/1 row per local group.
+gf::Matrix LrcGenerator(std::size_t k, std::size_t m, std::size_t l) {
+  const gf::Matrix rs = gf::cauchy_generator(k, m);
+  gf::Matrix g(k + m + l, k);
+  for (std::size_t r = 0; r < k + m; ++r)
+    for (std::size_t c = 0; c < k; ++c) g.at(r, c) = rs.at(r, c);
+  const std::size_t gsz = (k + l - 1) / l;
+  for (std::size_t grp = 0; grp < l; ++grp)
+    for (std::size_t c = grp * gsz; c < std::min((grp + 1) * gsz, k); ++c)
+      g.at(k + m + grp, c) = 1;
+  return g;
+}
+
+class LrcReconstructTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LrcReconstructTest, EveryTargetFromEveryKSubset) {
+  // LRC is not MDS: a local parity beside its whole group is dependent,
+  // so some of the 8 x C(7,4) survivor sets must be refused.
+  const LrcCodec lrc(4, 2, 2);
+  const ReconstructTally t =
+      ReconstructEveryKSubset(lrc, LrcGenerator(4, 2, 2), GetParam(), 17);
+  EXPECT_EQ(t.requests, 8u * 35u);
+  EXPECT_GT(t.singular, 0u);
+  EXPECT_LT(t.singular, t.requests / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockSizes, LrcReconstructTest,
+                         ::testing::Values(std::size_t{4096},
+                                           std::size_t{1000}));
+
+TEST(Lrc, ReconstructRejectsMalformedRequests) {
+  const std::size_t k = 4, m = 2, l = 2, bs = 256;
+  const LrcCodec lrc(k, m, l);
+  Blocks b = MakeBlocks(k, m + l, bs, 18);
+  lrc.encode(bs, b.data_ptrs, b.parity_ptrs);
+  using V = std::vector<std::size_t>;
+  // Target among the survivors, a duplicate, too few, out of range.
+  EXPECT_FALSE(lrc.reconstruct(bs, b.all_ptrs, V{0, 1, 2, 3}, 3));
+  EXPECT_FALSE(lrc.reconstruct(bs, b.all_ptrs, V{1, 1, 2, 3}, 0));
+  EXPECT_FALSE(lrc.reconstruct(bs, b.all_ptrs, V{1, 2, 3}, 0));
+  EXPECT_FALSE(lrc.reconstruct(bs, b.all_ptrs, V{1, 2, 3, 9}, 0));
+  EXPECT_FALSE(lrc.reconstruct(bs, b.all_ptrs, V{1, 2, 3, 4}, 8));
 }
 
 TEST(Lrc, NameIncludesParameters) {

@@ -88,6 +88,58 @@ TEST(WireTest, EmptyFrameFields) {
   EXPECT_TRUE(FramesEqual(f, out));
 }
 
+TEST(WireTest, GoldenBytesWithPlacementAndTwoBlobs) {
+  // The exact v2 serialization of one frame, pinned byte for byte: any
+  // change to EncodeFrame's layout, field order or checksum placement
+  // shows up here, not just as a round-trip that still agrees with
+  // itself.
+  Frame f;
+  f.type = MsgType::kDegradedReadResp;
+  f.seq = 0x1122334455667788ull;
+  f.stripe = 0x0102030405060708ull;
+  f.shard = 5;
+  f.status = WireStatus::kNeedGlobal;
+  f.aux = 9;
+  f.geom = {.k = 4, .global = 2, .local = 2, .block_size = 5};
+  f.placement = {3, 1, 4, 1, 5, 9, 2, 6};
+  f.blocks.push_back({2,
+                      {std::byte{0xde}, std::byte{0xad}, std::byte{0xbe},
+                       std::byte{0xef}, std::byte{0x00}}});
+  f.blocks.push_back({7, {std::byte{0x01}, std::byte{0x80}, std::byte{0xff}}});
+  constexpr unsigned char kGolden[] = {
+      // magic, version 2, type 6, body length 112, body CRC-32C
+      0x17, 0xdc, 0x02, 0x06, 0x70, 0x00, 0x00, 0x00,
+      0xcf, 0xcc, 0x29, 0xe5,
+      // seq, stripe, shard, status, aux
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+      0x05, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // geometry k, global, local, block_size
+      0x04, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      // placement: count 8, then the node ids
+      0x08, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0x09, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x06, 0x00, 0x00, 0x00,
+      // blocks: count 2, then (index, length, payload) each
+      0x02, 0x00, 0x00, 0x00,
+      0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0xde, 0xad, 0xbe, 0xef, 0x00,
+      0x07, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x01, 0x80, 0xff};
+  const auto bytes = EncodeFrame(f);
+  ASSERT_EQ(bytes.size(), sizeof(kGolden));
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    EXPECT_EQ(static_cast<unsigned>(bytes[i]), kGolden[i]) << "byte " << i;
+  }
+  Frame back;
+  ASSERT_EQ(DecodeFrame(bytes, &back, nullptr), ParseStatus::kOk);
+  EXPECT_TRUE(FramesEqual(f, back));
+}
+
 TEST(WireFuzzTest, TruncationAtEveryLength) {
   const auto bytes = EncodeFrame(SampleFrame());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
