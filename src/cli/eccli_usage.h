@@ -103,18 +103,14 @@ inline constexpr char kUsageText[] =
     "                    read from DIALGA_AIO; a forced uring on a "
     "kernel without\n"
     "                    io_uring falls back to stdio with a warning)\n"
-    "  --plan-cache F    enable learned strategy selection with a "
-    "persistent plan\n"
-    "                    cache at F: converged prefetch strategies are "
-    "replayed on\n"
-    "                    warm runs instead of re-searched (also read "
-    "from\n"
-    "                    DIALGA_PLAN_CACHE; see docs/learned_selection"
-    ".md); a\n"
-    "                    corrupt cache file is ignored and rebuilt\n"
-    "  --no-learn        freeze the learned selector: replay committed "
-    "plans but\n"
-    "                    never update weights or write the plan cache\n"
+    "  --plan-cache F    replay prefetch strategies a sampling run "
+    "committed to\n"
+    "                    the plan cache at F (also read from "
+    "DIALGA_PLAN_CACHE;\n"
+    "                    see docs/learned_selection.md); eccli never "
+    "writes F, and\n"
+    "                    a missing or corrupt file falls back to the "
+    "heuristic\n"
     "cluster mode:\n"
     "  --cluster-nodes N run the command against an in-process "
     "cluster of N\n"

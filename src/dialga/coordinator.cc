@@ -59,12 +59,6 @@ struct CoordMetrics {
 
 Coordinator::Coordinator(const PatternInfo& pattern, const Features& features,
                          const Thresholds& thresholds,
-                         std::size_t pm_buffer_bytes)
-    : Coordinator(pattern, features, thresholds, pm_buffer_bytes,
-                  SelectorOptions{}) {}
-
-Coordinator::Coordinator(const PatternInfo& pattern, const Features& features,
-                         const Thresholds& thresholds,
                          std::size_t pm_buffer_bytes,
                          const SelectorOptions& selector)
     : pattern_(pattern),
@@ -111,10 +105,6 @@ void Coordinator::consult_selector() {
 
 void Coordinator::observe_service_load(double load) {
   service_load_ = std::clamp(load, 0.0, 1.0);
-}
-
-void Coordinator::flush_plan_cache() {
-  if (selector_) selector_->flush();
 }
 
 void Coordinator::update_pattern(const PatternInfo& pattern) {

@@ -61,17 +61,14 @@ struct WindowRecord {
 
 class Coordinator {
  public:
-  Coordinator(const PatternInfo& pattern, const Features& features,
-              const Thresholds& thresholds, std::size_t pm_buffer_bytes);
-
-  /// As above, plus learned strategy selection: when
-  /// `selector.enabled` (and the feature set is adaptive + sw-prefetch)
-  /// a StrategySelector fronts the threshold ladder — plan-cache hit or
-  /// confident prediction decides the window directly, and the hill
-  /// climber only runs windows the selector defers.
+  /// Learned strategy selection: when `selector.enabled` (and the
+  /// feature set is adaptive + sw-prefetch) a StrategySelector fronts
+  /// the threshold ladder — plan-cache hit or confident prediction
+  /// decides the window directly, and the hill climber only runs
+  /// windows the selector defers.
   Coordinator(const PatternInfo& pattern, const Features& features,
               const Thresholds& thresholds, std::size_t pm_buffer_bytes,
-              const SelectorOptions& selector);
+              const SelectorOptions& selector = {});
 
   /// Strategy to use for the next stripe. Samples the PMU when the
   /// simulated clock has advanced past the sampling interval.
@@ -98,8 +95,6 @@ class Coordinator {
   /// Learned selector, when one was configured (nullptr otherwise).
   const StrategySelector* selector() const { return selector_.get(); }
   StrategySelector* selector() { return selector_.get(); }
-  /// Persist the selector's plan cache now (graceful shutdown).
-  void flush_plan_cache();
 
   /// Record per-window outcomes into windows() — off by default; the
   /// phase-shift bench and replay tests turn it on.
@@ -162,7 +157,7 @@ class Coordinator {
   // Learned selection (tentpole of ROADMAP item 1). selector_ is null
   // unless SelectorOptions.enabled and the feature set is adaptive;
   // everything below is inert in that case, so a Coordinator built
-  // through the 4-arg constructor behaves exactly as before.
+  // without selector options behaves exactly as before.
   std::unique_ptr<StrategySelector> selector_;
   SelectorDecision sel_;
   DecisionSource last_source_ = DecisionSource::kHeuristic;

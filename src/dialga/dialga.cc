@@ -34,79 +34,53 @@ DialgaCodec::DialgaCodec(std::size_t k, std::size_t m, ec::SimdWidth simd,
                          Features features, Thresholds thresholds)
     : inner_(k, m, simd), features_(features), thresholds_(thresholds) {}
 
-DialgaCodec::~DialgaCodec() {
-  // Graceful-shutdown flush of host-face plan memoizations.
-  if (!selector_opts_.plan_cache_path.empty() && selector_opts_.learn &&
-      host_cache_.dirty()) {
-    host_cache_.flush(selector_opts_.plan_cache_path);
-  }
-}
-
 void DialgaCodec::set_selector_options(const SelectorOptions& opts) {
-  std::lock_guard<std::mutex> lock(host_mu_);
+  std::lock_guard<std::mutex> lock(strategies_mu_);
   selector_opts_ = opts;
-  host_cache_loaded_ = false;
+  strategies_.clear();
 }
 
-ec::HostKernelOptions DialgaCodec::host_options(std::size_t block_size) const {
-  const PatternInfo pattern{params().k, params().m, block_size, 1};
-  if (selector_opts_.enabled) {
-    WindowFeatures f;
-    f.k = pattern.k;
-    f.m = pattern.m;
-    f.block_size = pattern.block_size;
-    f.nthreads = pattern.nthreads;
-    std::lock_guard<std::mutex> lock(host_mu_);
-    if (!host_cache_loaded_) {
-      host_cache_loaded_ = true;
-      if (!selector_opts_.plan_cache_path.empty()) {
-        host_cache_.load_warn_if_corrupt(selector_opts_.plan_cache_path);
-      }
-    }
-    if (const PlanCache::Entry* e = host_cache_.lookup(f.shape_key())) {
-      return Strategy::from_key(e->strategy_key).to_host_options();
-    }
-    const Coordinator coord(pattern, features_, thresholds_, 0);
-    const Strategy s = coord.initial_strategy();
-    if (selector_opts_.learn) host_cache_.insert(f.shape_key(), {s.key(), 0.0});
-    return s.to_host_options();
+Strategy DialgaCodec::initial_strategy(std::size_t block_size) const {
+  std::lock_guard<std::mutex> lock(strategies_mu_);
+  auto it = strategies_.find(block_size);
+  if (it == strategies_.end()) {
+    const Coordinator coord({params().k, params().m, block_size, 1},
+                            features_, thresholds_, 0, selector_opts_);
+    it = strategies_.emplace(block_size, coord.initial_strategy()).first;
   }
-  // Host execution takes the coordinator's initial strategy for this
-  // pattern: its software-prefetch distance feeds the fused driver's
-  // branchless prefetch-pointer array (output stays bit-identical to
-  // plain ISA-L — scheduling only moves cache fills).
-  const Coordinator coord(pattern, features_, thresholds_, 0);
-  return coord.initial_strategy().to_host_options();
+  return it->second;
 }
 
+// Host execution takes the initial strategy's software-prefetch
+// distance into the fused driver's branchless prefetch-pointer array;
+// output stays bit-identical to plain ISA-L (scheduling only moves
+// cache fills).
 void DialgaCodec::encode(std::size_t block_size,
                          std::span<const std::byte* const> data,
                          std::span<std::byte* const> parity) const {
-  inner_.encode_with(block_size, data, parity, host_options(block_size));
+  inner_.encode_with(block_size, data, parity,
+                     initial_strategy(block_size).to_host_options());
 }
 
 bool DialgaCodec::decode(std::size_t block_size,
                          std::span<std::byte* const> blocks,
                          std::span<const std::size_t> erasures) const {
   return inner_.decode_with(block_size, blocks, erasures,
-                            host_options(block_size));
+                            initial_strategy(block_size).to_host_options());
 }
 
 ec::EncodePlan DialgaCodec::encode_plan(
     std::size_t block_size, const simmem::ComputeCost& cost) const {
-  const PatternInfo pattern{params().k, params().m, block_size, 1};
-  const Coordinator coord(pattern, features_, thresholds_, 0);
   return inner_.encode_plan_with(
-      block_size, cost, coord.initial_strategy().to_plan_options());
+      block_size, cost, initial_strategy(block_size).to_plan_options());
 }
 
 ec::EncodePlan DialgaCodec::decode_plan(
     std::size_t block_size, const simmem::ComputeCost& cost,
     std::span<const std::size_t> erasures) const {
-  const PatternInfo pattern{params().k, params().m, block_size, 1};
-  const Coordinator coord(pattern, features_, thresholds_, 0);
   return inner_.decode_plan_with(
-      block_size, cost, erasures, coord.initial_strategy().to_plan_options());
+      block_size, cost, erasures,
+      initial_strategy(block_size).to_plan_options());
 }
 
 std::unique_ptr<DialgaPlanProvider> DialgaCodec::make_encode_provider(

@@ -71,12 +71,11 @@ class DialgaCodec : public ec::Codec {
               ec::SimdWidth simd = ec::SimdWidth::kAvx512,
               Features features = Features::all(),
               Thresholds thresholds = Thresholds{});
-  ~DialgaCodec() override;
 
   /// Enable learned strategy selection: providers built afterwards get
-  /// a StrategySelector, and the host encode/decode face consults (and
-  /// populates) the persistent plan cache through a shape-keyed memo
-  /// instead of re-deriving the initial strategy per call.
+  /// a StrategySelector, and initial_strategy() replays a plan the
+  /// selector committed to the persistent cache. The host face only
+  /// reads the cache; it never samples, so it never writes it.
   void set_selector_options(const SelectorOptions& opts);
   const SelectorOptions& selector_options() const { return selector_opts_; }
 
@@ -98,6 +97,12 @@ class DialgaCodec : public ec::Codec {
                          const simmem::ComputeCost& cost,
                          std::span<const std::size_t> erasures) const override;
 
+  /// The one static-strategy path behind encode/decode and the static
+  /// plans: the Coordinator's initial strategy for a single-threaded
+  /// stripe of this block size (a warm plan-cache entry, feature gates
+  /// applied, when the selector is on). Built once per block size.
+  Strategy initial_strategy(std::size_t block_size) const;
+
   /// Adaptive providers for timed runs.
   std::unique_ptr<DialgaPlanProvider> make_encode_provider(
       const PatternInfo& pattern, const simmem::SimConfig& cfg) const;
@@ -110,18 +115,14 @@ class DialgaCodec : public ec::Codec {
   const ec::IsalCodec& inner() const { return inner_; }
 
  private:
-  /// Host-face strategy for this block size: plan-cache hit when the
-  /// selector is on (memoized under host_mu_), the coordinator's
-  /// initial strategy otherwise.
-  ec::HostKernelOptions host_options(std::size_t block_size) const;
-
   ec::IsalCodec inner_;
   Features features_;
   Thresholds thresholds_;
   SelectorOptions selector_opts_;
-  mutable std::mutex host_mu_;
-  mutable PlanCache host_cache_;
-  mutable bool host_cache_loaded_ = false;
+  /// initial_strategy() memo, keyed by block size; cleared by
+  /// set_selector_options.
+  mutable std::mutex strategies_mu_;
+  mutable std::unordered_map<std::size_t, Strategy> strategies_;
 };
 
 }  // namespace dialga

@@ -103,6 +103,10 @@ constexpr double kPeakDecay = 0.98;
 // Consecutive strongly-below-peak windows under a cached strategy
 // before the entry is evicted (the workload's optimum moved).
 constexpr std::uint32_t kEvictStreak = 8;
+// Perceptron-style step size for w += lr * (r - w.x) * x.
+constexpr double kLearningRate = 0.25;
+// Periodic plan-cache flush cadence, in injected-clock time.
+constexpr std::uint64_t kFlushPeriodNs = 30'000'000'000ull;
 
 }  // namespace
 
@@ -135,22 +139,16 @@ std::uint64_t WindowFeatures::shape_key() const {
   return key;
 }
 
-SelectorOptions SelectorOptions::FromEnv(SelectorOptions base) {
+SelectorOptions SelectorOptions::FromEnv() {
+  SelectorOptions opts;
   if (const char* path = std::getenv("DIALGA_PLAN_CACHE");
       path != nullptr && *path != '\0') {
-    base.plan_cache_path = ExpandHome(path);
-    base.enabled = true;
+    opts.plan_cache_path = ExpandHome(path);
+    opts.enabled = true;
   }
-  base.enabled = common::EnvFlag("DIALGA_SELECTOR", base.enabled);
-  base.learn = common::EnvFlag("DIALGA_SELECTOR_LEARN", base.learn);
-  base.confidence_margin = common::EnvDouble(
-      "DIALGA_SELECTOR_MARGIN", base.confidence_margin, 0.0, 2.0);
-  base.seed = common::EnvUint64("DIALGA_SELECTOR_SEED", base.seed, 0,
-                                std::numeric_limits<std::uint64_t>::max());
-  return base;
+  opts.enabled = common::EnvFlag("DIALGA_SELECTOR", opts.enabled);
+  return opts;
 }
-
-SelectorOptions SelectorOptions::FromEnv() { return FromEnv(SelectorOptions{}); }
 
 // ---------------------------------------------------------------------------
 // PlanCache
@@ -333,7 +331,7 @@ void StrategySelector::train(const WindowFeatures& f, int candidate,
   auto& w = weights_[static_cast<std::size_t>(candidate)];
   const double err = reward - score(f, candidate);
   for (std::size_t i = 0; i < WindowFeatures::kDim; ++i) {
-    w[i] += opts_.learning_rate * err * x[i];
+    w[i] += kLearningRate * err * x[i];
   }
   ++stats_.updates;
   Metrics().updates->inc();
@@ -522,7 +520,7 @@ void StrategySelector::commit(const WindowFeatures& f,
 void StrategySelector::maybe_flush() {
   if (opts_.plan_cache_path.empty() || !cache_.dirty() || !opts_.learn) return;
   const std::uint64_t now = opts_.time.now_ns ? opts_.time.now_ns() : 0;
-  if (now - last_flush_ns_ < opts_.flush_period_ns) return;
+  if (now - last_flush_ns_ < kFlushPeriodNs) return;
   last_flush_ns_ = now;
   if (cache_.flush(opts_.plan_cache_path)) ++stats_.flushes;
 }

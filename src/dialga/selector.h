@@ -89,13 +89,11 @@ struct WindowFeatures {
 struct SelectorOptions {
   bool enabled = false;
   /// false freezes the model and the plan cache (predict/replay only —
-  /// no weight updates, no commits, no cache writes). eccli --no-learn.
+  /// no weight updates, no commits, no cache writes).
   bool learn = true;
   /// Prediction is used only when best minus runner-up score clears
   /// this margin; below it the hill-climb explorer runs the window.
   double confidence_margin = 0.04;
-  /// Perceptron-style step size for w += lr * (r - w.x) * x.
-  double learning_rate = 0.25;
   /// Optional epsilon-greedy exploration of a random candidate on
   /// predicted windows (seeded below; 0 = off, the default, so
   /// decisions replay from (seed, plan-cache state) alone).
@@ -106,22 +104,17 @@ struct SelectorOptions {
   std::uint64_t min_updates = 64;
   std::uint64_t seed = 1;
   /// Persistent plan-cache file; empty = in-memory only. Loaded at
-  /// construction (corrupt -> ignored and rebuilt), flushed on
-  /// destruction and every flush_period_ns of injected time.
+  /// construction (corrupt -> ignored and rebuilt), flushed when dirty
+  /// on destruction and every 30 s of injected time.
   std::string plan_cache_path;
-  std::uint64_t flush_period_ns = 30'000'000'000ull;
   common::Clock time = common::Clock::Real();
 
-  /// Environment overrides, parsed with the strict helpers in
-  /// common/env.h (malformed values warn on stderr and keep the
-  /// default; out-of-range values clamp):
+  /// Defaults plus the environment, parsed with the strict helpers in
+  /// common/env.h (a malformed flag warns on stderr and keeps the
+  /// default):
   ///   DIALGA_PLAN_CACHE        cache path (non-empty enables the
   ///                            selector; "~" prefix expands to $HOME)
   ///   DIALGA_SELECTOR          on/off master switch
-  ///   DIALGA_SELECTOR_LEARN    on/off (off = --no-learn)
-  ///   DIALGA_SELECTOR_MARGIN   confidence margin in [0, 2]
-  ///   DIALGA_SELECTOR_SEED     u64 seed
-  static SelectorOptions FromEnv(SelectorOptions base);
   static SelectorOptions FromEnv();
 };
 
@@ -237,8 +230,8 @@ class StrategySelector {
   /// cache already holds this exact strategy.
   void commit(const WindowFeatures& f, const Strategy& converged);
 
-  /// Flush the plan cache if dirty and flush_period_ns of injected
-  /// time has passed since the last flush.
+  /// Flush the plan cache if dirty and 30 s of injected time has
+  /// passed since the last flush.
   void maybe_flush();
   /// Unconditional flush (graceful shutdown); no-op without a path or
   /// when clean.

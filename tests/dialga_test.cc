@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <random>
+#include <string>
+#include <thread>
 
 #include "bench_util/runner.h"
 #include "ec/isal.h"
+#include "obs/metrics.h"
 
 namespace dialga {
 namespace {
@@ -177,6 +182,138 @@ TEST(DialgaTimed, BreakdownFeaturesAreCumulative) {
   EXPECT_GT(sw_hw, sw * 0.95);
   EXPECT_GT(full, sw_hw * 0.95);
   EXPECT_GT(full, vanilla * 1.2);
+}
+
+std::string TempPath(const char* stem) {
+  return (std::filesystem::temp_directory_path() /
+          (std::string("dialga_test_") + stem))
+      .string();
+}
+
+void ExpectSamePlan(const ec::EncodePlan& a, const ec::EncodePlan& b) {
+  ASSERT_EQ(a.ops.size(), b.ops.size());
+  EXPECT_EQ(a.num_slots(), b.num_slots());
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    ASSERT_EQ(a.ops[i].kind, b.ops[i].kind) << "op " << i;
+    ASSERT_EQ(a.ops[i].block, b.ops[i].block) << "op " << i;
+    ASSERT_EQ(a.ops[i].offset, b.ops[i].offset) << "op " << i;
+    ASSERT_EQ(a.ops[i].cycles, b.ops[i].cycles) << "op " << i;
+  }
+}
+
+TEST(DialgaCodec, HostFaceNeverWritesThePlanCache) {
+  // The host face never samples, so it has nothing to commit: only a
+  // StrategySelector that explored may write the cache file.
+  const std::string path = TempPath("host_never_writes");
+  std::remove(path.c_str());
+  {
+    SelectorOptions opts;
+    opts.enabled = true;
+    opts.learn = true;
+    opts.plan_cache_path = path;
+    DialgaCodec dialga(8, 3);
+    dialga.set_selector_options(opts);
+    Blocks b = MakeBlocks(8, 3, 1000, 21);
+    dialga.encode(1000, b.data_ptrs, b.parity_ptrs);
+    const std::vector<std::size_t> erasures{2};
+    ASSERT_TRUE(dialga.decode(1000, b.all_ptrs, erasures));
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(DialgaCodec, HostFaceReplaysCommittedPlanWithFeatureGates) {
+  const std::string path = TempPath("host_replays");
+  std::remove(path.c_str());
+  Strategy converged;
+  converged.hw_prefetch = false;
+  converged.sw_distance = 96;
+  {
+    WindowFeatures f;
+    f.k = 12;
+    f.m = 4;
+    f.block_size = 1024;
+    f.nthreads = 1;
+    SelectorOptions opts;
+    opts.enabled = true;
+    opts.plan_cache_path = path;
+    StrategySelector sel(opts);
+    sel.commit(f, converged);
+  }
+  ASSERT_TRUE(std::filesystem::exists(path));
+
+  SelectorOptions opts;
+  opts.enabled = true;
+  opts.plan_cache_path = path;
+  DialgaCodec full(12, 4);
+  full.set_selector_options(opts);
+  EXPECT_EQ(full.initial_strategy(1024), converged);
+
+  // Without adaptive software prefetch the Coordinator builds no
+  // selector, so the cached distance must not leak through.
+  DialgaCodec gated(12, 4, ec::SimdWidth::kAvx512, Features::sw_hw());
+  gated.set_selector_options(opts);
+  const DialgaCodec plain(12, 4, ec::SimdWidth::kAvx512, Features::sw_hw());
+  EXPECT_EQ(gated.initial_strategy(1024), plain.initial_strategy(1024));
+  EXPECT_NE(gated.initial_strategy(1024), converged);
+
+  // The static plans take the same strategy as the host face.
+  const simmem::ComputeCost cost{};
+  ExpectSamePlan(full.encode_plan(1024, cost),
+                 full.inner().encode_plan_with(
+                     1024, cost, full.initial_strategy(1024).to_plan_options()));
+  const std::vector<std::size_t> erasures{1, 13};
+  ExpectSamePlan(full.decode_plan(1024, cost, erasures),
+                 full.inner().decode_plan_with(
+                     1024, cost, erasures,
+                     full.initial_strategy(1024).to_plan_options()));
+  std::remove(path.c_str());
+}
+
+TEST(DialgaCodec, HostFaceBuildsOneCoordinatorPerBlockSize) {
+  const DialgaCodec dialga(8, 3);
+  Blocks b = MakeBlocks(8, 3, 1000, 22);
+  const obs::Counter& flips = obs::Registry::Global().counter(
+      "dialga_coord_strategy_flips_total");
+  const std::uint64_t before = flips.value();
+  for (int i = 0; i < 64; ++i) dialga.encode(1000, b.data_ptrs, b.parity_ptrs);
+  EXPECT_LE(flips.value() - before, 1u);
+}
+
+TEST(DialgaCodec, ConcurrentHostEncodesMatchIsal) {
+  // Service workers share one codec, so the per-block-size memo is
+  // built and read concurrently.
+  const std::size_t k = 8, m = 3;
+  DialgaCodec dialga(k, m);
+  SelectorOptions opts;
+  opts.enabled = true;
+  dialga.set_selector_options(opts);
+  const ec::IsalCodec isal(k, m);
+  const std::size_t sizes[] = {1000, 4096};
+
+  std::vector<Blocks> got;
+  std::vector<Blocks> want;
+  for (int t = 0; t < 4; ++t) {
+    for (const std::size_t bs : sizes) {
+      got.push_back(MakeBlocks(k, m, bs, 30 + t));
+      want.push_back(MakeBlocks(k, m, bs, 30 + t));
+    }
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 8; ++rep) {
+        for (std::size_t j = 0; j < 2; ++j) {
+          Blocks& b = got[t * 2 + j];
+          dialga.encode(sizes[j], b.data_ptrs, b.parity_ptrs);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    isal.encode(sizes[i % 2], want[i].data_ptrs, want[i].parity_ptrs);
+    EXPECT_EQ(got[i].storage, want[i].storage) << "stripe " << i;
+  }
 }
 
 TEST(DialgaCodec, NameAndAccessors) {

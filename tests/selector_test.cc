@@ -338,14 +338,13 @@ TEST(StrategySelector, PeriodicFlushFollowsInjectedClock) {
   SelectorOptions opts;
   opts.enabled = true;
   opts.plan_cache_path = path;
-  opts.flush_period_ns = 1'000'000;
   opts.time = common::Clock::Manual(&now);
   StrategySelector sel(opts);
 
   sel.commit(SampleFeatures(), Strategy{});
   sel.maybe_flush();
   EXPECT_EQ(sel.stats().flushes, 0u) << "period not yet elapsed";
-  now += 2'000'000;
+  now += 31'000'000'000ull;  // past the 30 s flush period
   sel.maybe_flush();
   EXPECT_EQ(sel.stats().flushes, 1u);
   EXPECT_TRUE(std::filesystem::exists(path));
@@ -372,32 +371,16 @@ TEST(StrategySelector, NoLearnFreezesModelAndCache) {
     EXPECT_EQ(sel.plan_cache().size(), 0u);
   }
   EXPECT_FALSE(std::filesystem::exists(path))
-      << "--no-learn must never write the cache";
+      << "a frozen selector must never write the cache";
 }
 
 // --- Env hardening (satellite: registry Env* helpers) ------------------
 
 TEST(SelectorOptions, FromEnvParsesAndHardens) {
   setenv("DIALGA_PLAN_CACHE", "/tmp/dialga_env_cache", 1);
-  setenv("DIALGA_SELECTOR_MARGIN", "0.25", 1);
-  setenv("DIALGA_SELECTOR_SEED", "77", 1);
-  SelectorOptions opts = SelectorOptions::FromEnv();
+  const SelectorOptions opts = SelectorOptions::FromEnv();
   EXPECT_TRUE(opts.enabled);
   EXPECT_EQ(opts.plan_cache_path, "/tmp/dialga_env_cache");
-  EXPECT_DOUBLE_EQ(opts.confidence_margin, 0.25);
-  EXPECT_EQ(opts.seed, 77u);
-
-  // Malformed numerics keep the defaults (reject-with-stderr).
-  setenv("DIALGA_SELECTOR_MARGIN", "fast", 1);
-  setenv("DIALGA_SELECTOR_SEED", "12abc", 1);
-  opts = SelectorOptions::FromEnv();
-  EXPECT_DOUBLE_EQ(opts.confidence_margin, SelectorOptions{}.confidence_margin);
-  EXPECT_EQ(opts.seed, SelectorOptions{}.seed);
-
-  // Out-of-range clamps.
-  setenv("DIALGA_SELECTOR_MARGIN", "99", 1);
-  opts = SelectorOptions::FromEnv();
-  EXPECT_DOUBLE_EQ(opts.confidence_margin, 2.0);
 
   // Flag hardening: garbage keeps the default, off disables.
   setenv("DIALGA_SELECTOR", "maybe", 1);
@@ -406,8 +389,6 @@ TEST(SelectorOptions, FromEnvParsesAndHardens) {
   EXPECT_FALSE(SelectorOptions::FromEnv().enabled);
 
   unsetenv("DIALGA_PLAN_CACHE");
-  unsetenv("DIALGA_SELECTOR_MARGIN");
-  unsetenv("DIALGA_SELECTOR_SEED");
   unsetenv("DIALGA_SELECTOR");
 }
 
