@@ -4,8 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "dialga/dialga.h"
-#include "ec/lrc.h"
 #include "integrity/checksum.h"
 #include "obs/metrics.h"
 
@@ -90,22 +88,6 @@ bool Coordinator::NodeUp(NodeId id) const {
   return down_.count(id) == 0;
 }
 
-const ec::Codec& Coordinator::CodecFor(const Geometry& geom) {
-  std::lock_guard<std::mutex> lk(codec_mu_);
-  const auto key = std::make_tuple(geom.k, geom.global, geom.local);
-  auto it = codecs_.find(key);
-  if (it == codecs_.end()) {
-    std::unique_ptr<const ec::Codec> codec;
-    if (geom.local > 0) {
-      codec = std::make_unique<ec::LrcCodec>(geom.k, geom.global, geom.local);
-    } else {
-      codec = std::make_unique<dialga::DialgaCodec>(geom.k, geom.global);
-    }
-    it = codecs_.emplace(key, std::move(codec)).first;
-  }
-  return *it->second;
-}
-
 void Coordinator::track(std::uint64_t stripe) {
   std::lock_guard<std::mutex> lk(mu_);
   acked_.insert(stripe);
@@ -114,17 +96,6 @@ void Coordinator::track(std::uint64_t stripe) {
 std::size_t Coordinator::tracked() const {
   std::lock_guard<std::mutex> lk(mu_);
   return acked_.size();
-}
-
-bool Coordinator::StoreChunk(std::uint64_t stripe, std::uint32_t shard,
-                             NodeId dest, std::vector<std::byte> bytes) {
-  Frame req;
-  req.type = MsgType::kStore;
-  req.stripe = stripe;
-  req.geom = cfg_.geom;
-  req.blocks.push_back({shard, std::move(bytes)});
-  Frame resp;
-  return Call(dest, req, &resp) == 0 && resp.status == WireStatus::kOk;
 }
 
 OpResult Coordinator::write_stripe(std::uint64_t stripe,
@@ -185,8 +156,8 @@ OpResult Coordinator::write_stripe(std::uint64_t stripe,
                   cfg_.store_retry.delay(attempt - 1))
                   .count()));
         }
-        stored = StoreChunk(stripe, shard, table[shard],
-                            resp.blocks[i].bytes);
+        stored = StoreChunk(*transport_, kClientId, table[shard], stripe,
+                            shard, geom, resp.blocks[i].bytes);
       }
       if (!stored) {
         return {OpResult::Code::kTransport,
@@ -196,27 +167,6 @@ OpResult Coordinator::write_stripe(std::uint64_t stripe,
   }
   track(stripe);
   return {};
-}
-
-WireStatus Coordinator::FetchChunk(std::uint64_t stripe, std::uint32_t shard,
-                                   const std::vector<NodeId>& table,
-                                   std::vector<std::byte>* out) {
-  if (shard >= table.size()) return WireStatus::kBadRequest;
-  if (!NodeUp(table[shard])) return WireStatus::kNotFound;
-  Frame req;
-  req.type = MsgType::kRead;
-  req.stripe = stripe;
-  req.shard = shard;
-  req.geom = cfg_.geom;
-  Frame resp;
-  if (Call(table[shard], req, &resp) != 0) return WireStatus::kNotFound;
-  if (resp.status != WireStatus::kOk || resp.blocks.size() != 1 ||
-      resp.blocks[0].bytes.size() != cfg_.geom.block_size) {
-    return resp.status == WireStatus::kOk ? WireStatus::kNotFound
-                                          : resp.status;
-  }
-  *out = std::move(resp.blocks[0].bytes);
-  return WireStatus::kOk;
 }
 
 OpResult Coordinator::GlobalReconstruct(std::uint64_t stripe,
@@ -235,7 +185,11 @@ OpResult Coordinator::GlobalReconstruct(std::uint64_t stripe,
   present.reserve(geom.k);
   for (std::uint32_t j = 0; j < total && present.size() < geom.k; ++j) {
     if (j == shard) continue;
-    if (FetchChunk(stripe, j, table, &chunks[j]) != WireStatus::kOk) continue;
+    if (!NodeUp(table[j]) ||
+        ReadChunk(*transport_, kClientId, table[j], stripe, j, geom,
+                  &chunks[j]) != WireStatus::kOk) {
+      continue;
+    }
     blocks[j] = chunks[j].data();
     present.push_back(j);
   }
@@ -247,58 +201,74 @@ OpResult Coordinator::GlobalReconstruct(std::uint64_t stripe,
   }
   out->resize(geom.block_size);
   blocks[shard] = out->data();
-  if (!CodecFor(geom).reconstruct(geom.block_size,
-                                  std::span<std::byte* const>(blocks),
-                                  std::span<const std::size_t>(present),
-                                  shard)) {
+  if (!codecs_.get(geom).reconstruct(geom.block_size,
+                                     std::span<std::byte* const>(blocks),
+                                     std::span<const std::size_t>(present),
+                                     shard)) {
     QuorumLoss().inc();
     return {OpResult::Code::kQuorumLoss, "decode failed"};
   }
-  DegradedCounter(false).inc();
   return {OpResult::Code::kDegraded, "global reconstruction"};
+}
+
+bool Coordinator::AskGroup(MsgType type, std::uint64_t stripe,
+                           std::uint32_t shard,
+                           const std::vector<NodeId>& table,
+                           std::uint64_t aux, Frame* resp) {
+  const Geometry& geom = cfg_.geom;
+  // The helper needs every other member, so when one of them is
+  // already known down (often it shares the target's dead home) the
+  // RPC could only answer kNeedGlobal: send nothing.
+  const int group = geom.group_of(shard);
+  if (group < 0) return false;
+  const std::vector<std::uint32_t> members =
+      geom.group_members(static_cast<std::uint32_t>(group));
+  if (!std::all_of(members.begin(), members.end(), [&](std::uint32_t m) {
+        return m == shard || NodeUp(table[m]);
+      })) {
+    return false;
+  }
+  Frame req;
+  req.type = type;
+  req.stripe = stripe;
+  req.shard = shard;
+  req.aux = aux;
+  req.geom = geom;
+  req.placement = table;
+  for (const std::uint32_t member : members) {
+    if (member == shard) continue;
+    const NodeId helper = table[member];
+    if (!NodeUp(helper)) continue;
+    // A degraded read's target home just failed its read, so a member
+    // homed there would likely fail too. A repair's target home is
+    // either down (rebuild) or answered kNotFound/kCorrupt (scrub), and
+    // then it XORs the members it holds without a single remote read.
+    if (type == MsgType::kDegradedRead && helper == table[shard]) continue;
+    if (Call(helper, req, resp) != 0) continue;
+    // The first answer decides: anything but kOk (kNeedGlobal) means
+    // the group cannot help.
+    return resp->status == WireStatus::kOk;
+  }
+  return false;
 }
 
 OpResult Coordinator::DegradedRead(std::uint64_t stripe, std::uint32_t shard,
                                    const std::vector<NodeId>& table,
                                    std::vector<std::byte>* out) {
-  const Geometry& geom = cfg_.geom;
-  // Local first: ask a surviving member of the target's group to XOR
-  // the group — group_size reads inside one failure domain, no global
-  // parity traffic. The helper needs every other member, so when one of
-  // them is already known down (often it shares the target's dead
-  // home) the RPC could only answer kNeedGlobal: go global directly.
-  const int group = geom.group_of(shard);
-  const std::vector<std::uint32_t> members =
-      group >= 0 ? geom.group_members(static_cast<std::uint32_t>(group))
-                 : std::vector<std::uint32_t>{};
-  const bool group_up =
-      !members.empty() &&
-      std::all_of(members.begin(), members.end(), [&](std::uint32_t m) {
-        return m == shard || NodeUp(table[m]);
-      });
-  if (group_up) {
-    Frame req;
-    req.type = MsgType::kDegradedRead;
-    req.stripe = stripe;
-    req.shard = shard;
-    req.geom = geom;
-    req.placement = table;
-    for (const std::uint32_t member : members) {
-      if (member == shard) continue;
-      const NodeId helper = table[member];
-      if (helper == table[shard] || !NodeUp(helper)) continue;
-      Frame resp;
-      if (Call(helper, req, &resp) != 0) continue;
-      if (resp.status == WireStatus::kOk && resp.blocks.size() == 1 &&
-          resp.blocks[0].bytes.size() == geom.block_size) {
-        DegradedCounter(true).inc();
-        *out = std::move(resp.blocks[0].bytes);
-        return {OpResult::Code::kDegraded, "local group reconstruction"};
-      }
-      break;  // the group cannot help (kNeedGlobal); go global
-    }
+  // Local first: a surviving member of the target's group XORs the
+  // group — group_size reads inside one failure domain, no global
+  // parity traffic.
+  Frame resp;
+  if (AskGroup(MsgType::kDegradedRead, stripe, shard, table, 0, &resp) &&
+      resp.blocks.size() == 1 &&
+      resp.blocks[0].bytes.size() == cfg_.geom.block_size) {
+    DegradedCounter(true).inc();
+    *out = std::move(resp.blocks[0].bytes);
+    return {OpResult::Code::kDegraded, "local group reconstruction"};
   }
-  return GlobalReconstruct(stripe, shard, table, out);
+  const OpResult r = GlobalReconstruct(stripe, shard, table, out);
+  if (r.ok()) DegradedCounter(false).inc();
+  return r;
 }
 
 void Coordinator::MaybeReadRepair(std::uint64_t stripe, std::uint32_t shard,
@@ -311,7 +281,8 @@ void Coordinator::MaybeReadRepair(std::uint64_t stripe, std::uint32_t shard,
     if (quarantined_.count(stripe) != 0) return;  // scrub's job now
   }
   auto& im = integrity::Metrics::Get();
-  const bool stored = StoreChunk(stripe, shard, table[shard], bytes);
+  const bool stored = StoreChunk(*transport_, kClientId, table[shard], stripe,
+                                 shard, cfg_.geom, bytes);
   im.heal("cluster", stored);
   std::lock_guard<std::mutex> lk(mu_);
   if (stored) {
@@ -337,7 +308,11 @@ OpResult Coordinator::read_block(std::uint64_t stripe, std::uint32_t shard,
   }
   const std::vector<NodeId> table = placement_->table(stripe, geom);
   if (table.empty()) return {OpResult::Code::kInvalid, "empty membership"};
-  if (FetchChunk(stripe, shard, table, out) == WireStatus::kOk) return {};
+  if (NodeUp(table[shard]) &&
+      ReadChunk(*transport_, kClientId, table[shard], stripe, shard, geom,
+                out) == WireStatus::kOk) {
+    return {};
+  }
   const OpResult r = DegradedRead(stripe, shard, table, out);
   // The degraded bytes are codec-verified output; if the home is up
   // (its chunk was corrupt or dropped, not unreachable), reseat them
@@ -412,35 +387,16 @@ bool Coordinator::RepairChunk(std::uint64_t stripe, std::uint32_t shard,
 
   // Prefer a surviving group member doing the repair next to the data
   // (one kRepair RPC; the member reads its group, XORs, stores to
-  // dest). Global fallback runs at the coordinator.
-  if (geom.group_of(shard) >= 0) {
-    Frame req;
-    req.type = MsgType::kRepair;
-    req.stripe = stripe;
-    req.shard = shard;
-    req.aux = dest;
-    req.geom = geom;
-    req.placement = table;
-    for (const std::uint32_t member : geom.group_members(
-             static_cast<std::uint32_t>(geom.group_of(shard)))) {
-      if (member == shard) continue;
-      const NodeId helper = table[member];
-      if (!NodeUp(helper)) continue;
-      Frame resp;
-      if (Call(helper, req, &resp) != 0) continue;
-      if (resp.status == WireStatus::kOk) {
-        RepairCounter(scrub).inc();
-        RepairBytes(scrub).inc(geom.block_size);
-        return true;
-      }
-      break;
-    }
+  // dest). Otherwise the coordinator rebuilds from k survivors.
+  Frame resp;
+  bool done = AskGroup(MsgType::kRepair, stripe, shard, table, dest, &resp);
+  if (!done) {
+    std::vector<std::byte> rebuilt;
+    done = GlobalReconstruct(stripe, shard, table, &rebuilt).ok() &&
+           StoreChunk(*transport_, kClientId, dest, stripe, shard, geom,
+                      std::move(rebuilt));
   }
-
-  std::vector<std::byte> rebuilt;
-  const OpResult r = GlobalReconstruct(stripe, shard, table, &rebuilt);
-  if (!r.ok()) return false;
-  if (!StoreChunk(stripe, shard, dest, std::move(rebuilt))) return false;
+  if (!done) return false;
   RepairCounter(scrub).inc();
   RepairBytes(scrub).inc(geom.block_size);
   return true;
@@ -470,7 +426,8 @@ ScrubReport Coordinator::scrub_pass() {
       if (waits > 0) ThrottleWaits(true).inc(waits);
       ++report.chunks_checked;
       std::vector<std::byte> chunk;
-      const WireStatus st = FetchChunk(stripe, j, table, &chunk);
+      const WireStatus st = ReadChunk(*transport_, kClientId, table[j], stripe,
+                                      j, geom, &chunk);
       if (st == WireStatus::kOk) continue;
       if (st == WireStatus::kCorrupt) ++report.corrupt;
       if (RepairChunk(stripe, j, table, table[j], RepairKind::kScrub)) {
@@ -509,21 +466,15 @@ RebalanceReport Coordinator::Rebalance(
       // Cheap path: the old home still answers — plain copy, no
       // reconstruction math.
       bool done = false;
-      if (NodeUp(old_table[j])) {
-        Frame req;
-        req.type = MsgType::kRead;
-        req.stripe = stripe;
-        req.shard = j;
-        req.geom = geom;
-        Frame resp;
-        if (Call(old_table[j], req, &resp) == 0 &&
-            resp.status == WireStatus::kOk && resp.blocks.size() == 1) {
-          done = StoreChunk(stripe, j, new_table[j],
-                            std::move(resp.blocks[0].bytes));
-          if (done) {
-            ++report.moved;
-            RepairBytes(false).inc(geom.block_size);
-          }
+      std::vector<std::byte> chunk;
+      if (NodeUp(old_table[j]) &&
+          ReadChunk(*transport_, kClientId, old_table[j], stripe, j, geom,
+                    &chunk) == WireStatus::kOk) {
+        done = StoreChunk(*transport_, kClientId, new_table[j], stripe, j,
+                          geom, std::move(chunk));
+        if (done) {
+          ++report.moved;
+          RepairBytes(false).inc(geom.block_size);
         }
       }
       if (!done) {

@@ -17,20 +17,18 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <span>
 #include <string>
-#include <tuple>
 #include <vector>
 
+#include "cluster/codec_cache.h"
 #include "cluster/placement.h"
 #include "cluster/token_bucket.h"
 #include "cluster/transport.h"
 #include "cluster/wire.h"
 #include "common/clock.h"
-#include "ec/codec.h"
 #include "svc/governor.h"
 #include "svc/retry.h"
 
@@ -183,13 +181,16 @@ class Coordinator {
 
   int Call(NodeId to, const Frame& req, Frame* resp);
   bool NodeUp(NodeId id) const;
-  /// Fetch one chunk from its home (no reconstruction).
-  WireStatus FetchChunk(std::uint64_t stripe, std::uint32_t shard,
-                        const std::vector<NodeId>& table,
-                        std::vector<std::byte>* out);
-  /// Degraded read: group member first (skipped when another member is
-  /// known down), then global. Fills *out and reports which scope
-  /// served it.
+  /// Send one local-group RPC (kDegradedRead or kRepair, with `aux`)
+  /// to the first reachable member of `shard`'s group (for a degraded
+  /// read, one not homed with the target). Sends nothing when the shard
+  /// has no group or another member is known down. True when a helper
+  /// answered kOk (*resp).
+  bool AskGroup(MsgType type, std::uint64_t stripe, std::uint32_t shard,
+                const std::vector<NodeId>& table, std::uint64_t aux,
+                Frame* resp);
+  /// Degraded read: group member first (AskGroup), then global. Fills
+  /// *out and reports which scope served it.
   OpResult DegradedRead(std::uint64_t stripe, std::uint32_t shard,
                         const std::vector<NodeId>& table,
                         std::vector<std::byte>* out);
@@ -199,13 +200,13 @@ class Coordinator {
   OpResult GlobalReconstruct(std::uint64_t stripe, std::uint32_t shard,
                              const std::vector<NodeId>& table,
                              std::vector<std::byte>* out);
-  /// Reconstruct-and-store one chunk to `dest` via a surviving group
-  /// member (kRepair RPC) or the coordinator's global path.
+  /// Reconstruct-and-store one chunk to `dest`: a group member's
+  /// local-only kRepair (AskGroup, so a member known down skips it),
+  /// else GlobalReconstruct here and one kStore — the only place a
+  /// repair decodes globally.
   bool RepairChunk(std::uint64_t stripe, std::uint32_t shard,
                    const std::vector<NodeId>& table, NodeId dest,
                    RepairKind kind);
-  bool StoreChunk(std::uint64_t stripe, std::uint32_t shard, NodeId dest,
-                  std::vector<std::byte> bytes);
   /// Read-repair after a degraded read: store the reconstructed chunk
   /// back to its (up) home. Failures count toward the stripe's heal
   /// cap; past it the stripe is quarantined and write-backs stop.
@@ -215,7 +216,6 @@ class Coordinator {
   RebalanceReport Rebalance(
       const std::vector<std::pair<std::uint64_t, std::vector<NodeId>>>&
           old_tables);
-  const ec::Codec& CodecFor(const Geometry& geom);
 
   CoordinatorConfig cfg_;
   Placement* placement_;
@@ -229,10 +229,7 @@ class Coordinator {
   std::map<std::uint64_t, std::size_t> heal_attempts_;  // guarded by mu_
   std::set<std::uint64_t> quarantined_;                 // guarded by mu_
 
-  std::mutex codec_mu_;
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-           std::unique_ptr<const ec::Codec>>
-      codecs_;
+  CodecCache codecs_;
 };
 
 }  // namespace cluster

@@ -5,8 +5,6 @@
 #include <cstring>
 
 #include "aio/datapath.h"
-#include "dialga/dialga.h"
-#include "ec/lrc.h"
 #include "fault/injector.h"
 #include "gf/gf_simd.h"
 
@@ -206,28 +204,10 @@ bool Node::drop_chunk(std::uint64_t stripe, std::uint32_t shard) {
   return true;
 }
 
-const ec::Codec& Node::CodecFor(const Geometry& geom) {
-  std::lock_guard<std::mutex> lk(codec_mu_);
-  const auto key = std::make_tuple(geom.k, geom.global, geom.local);
-  auto it = codecs_.find(key);
-  if (it == codecs_.end()) {
-    std::unique_ptr<const ec::Codec> codec;
-    if (geom.local > 0) {
-      codec = std::make_unique<ec::LrcCodec>(geom.k, geom.global, geom.local);
-    } else {
-      // Plain RS gets this node's own DIALGA codec — an independent
-      // adaptive planner per node.
-      codec = std::make_unique<dialga::DialgaCodec>(geom.k, geom.global);
-    }
-    it = codecs_.emplace(key, std::move(codec)).first;
-  }
-  return *it->second;
-}
-
 bool Node::EncodeStripe(const Geometry& geom,
                         const std::vector<const std::byte*>& data,
                         const std::vector<std::byte*>& parity) {
-  const ec::Codec& codec = CodecFor(geom);
+  const ec::Codec& codec = codecs_.get(geom);
   svc::EncodeRequest req;
   req.shape = {geom.k, geom.global + geom.local, geom.block_size};
   req.data = data;
@@ -249,26 +229,25 @@ WireStatus Node::FetchRemote(const Frame& ctx, std::uint32_t shard,
   const NodeId home = ctx.placement[shard];
   if (home == cfg_.id) return FetchChunk(ctx.stripe, shard, out);
   if (transport_ == nullptr) return WireStatus::kNotFound;
-  Frame req;
-  req.type = MsgType::kRead;
-  req.stripe = ctx.stripe;
-  req.shard = shard;
-  req.geom = ctx.geom;
-  Frame resp;
-  if (transport_->call(cfg_.id, home, req, &resp) != 0) {
-    return WireStatus::kNotFound;
-  }
-  if (resp.status != WireStatus::kOk || resp.blocks.size() != 1) {
-    return resp.status == WireStatus::kOk ? WireStatus::kNotFound
-                                          : resp.status;
-  }
-  *out = std::move(resp.blocks[0].bytes);
-  return WireStatus::kOk;
+  return ReadChunk(*transport_, cfg_.id, home, ctx.stripe, shard, ctx.geom,
+                   out);
 }
 
-WireStatus Node::GroupXor(const Frame& ctx, std::uint32_t target,
-                          std::vector<std::byte>* out) {
-  const Geometry& geom = ctx.geom;
+bool Node::StoreTo(NodeId dest, std::uint64_t stripe, std::uint32_t shard,
+                   const Geometry& geom, std::vector<std::byte> bytes) {
+  if (dest == cfg_.id) return PutChunk(stripe, shard, std::move(bytes));
+  return transport_ != nullptr &&
+         StoreChunk(*transport_, cfg_.id, dest, stripe, shard, geom,
+                    std::move(bytes));
+}
+
+WireStatus Node::GroupXor(const Frame& req, std::vector<std::byte>* out) {
+  const Geometry& geom = req.geom;
+  if (!ValidGeomFrame(req) || req.shard >= geom.total_shards() ||
+      req.placement.size() != geom.total_shards()) {
+    return WireStatus::kBadRequest;
+  }
+  const std::uint32_t target = req.shard;
   const int group = geom.group_of(target);
   if (group < 0) return WireStatus::kNeedGlobal;
   const std::size_t bs = geom.block_size;
@@ -277,7 +256,7 @@ WireStatus Node::GroupXor(const Frame& ctx, std::uint32_t target,
        geom.group_members(static_cast<std::uint32_t>(group))) {
     if (member == target) continue;
     std::vector<std::byte> chunk;
-    if (FetchRemote(ctx, member, &chunk) != WireStatus::kOk ||
+    if (FetchRemote(req, member, &chunk) != WireStatus::kOk ||
         chunk.size() != bs) {
       return WireStatus::kNeedGlobal;
     }
@@ -291,70 +270,6 @@ WireStatus Node::GroupXor(const Frame& ctx, std::uint32_t target,
   // A group whose only member is the target XORs to zero.
   if (acc.empty()) acc.assign(bs, std::byte{0});
   *out = std::move(acc);
-  return WireStatus::kOk;
-}
-
-WireStatus Node::Reconstruct(const Frame& ctx, std::uint32_t target,
-                             std::vector<std::byte>* out,
-                             std::uint64_t* scope) {
-  const Geometry& geom = ctx.geom;
-  const std::size_t bs = geom.block_size;
-
-  // Local-group XOR first: the group's local parity is the XOR of its
-  // data shards, so any single missing member is the XOR of the rest —
-  // group_size reads instead of k, all inside one failure domain.
-  if (GroupXor(ctx, target, out) == WireStatus::kOk) {
-    *scope = 0;  // local
-    return WireStatus::kOk;
-  }
-
-  // Global path: gather every reachable shard, mark the rest erased,
-  // and run the full decode when >= k survive.
-  const std::uint32_t total = geom.total_shards();
-  std::vector<std::vector<std::byte>> buffers(total);
-  std::vector<std::byte*> blocks(total);
-  std::vector<std::size_t> erasures;
-  for (std::uint32_t j = 0; j < total; ++j) {
-    buffers[j].assign(bs, std::byte{0});
-    blocks[j] = buffers[j].data();
-    if (j == target) {
-      erasures.push_back(j);
-      continue;
-    }
-    std::vector<std::byte> chunk;
-    if (FetchRemote(ctx, j, &chunk) == WireStatus::kOk &&
-        chunk.size() == bs) {
-      buffers[j] = std::move(chunk);
-      blocks[j] = buffers[j].data();
-    } else {
-      erasures.push_back(j);
-    }
-  }
-  if (total - erasures.size() < geom.k) return WireStatus::kUnrecoverable;
-
-  const ec::Codec& codec = CodecFor(geom);
-  svc::DecodeRequest req;
-  req.shape = {geom.k, geom.global + geom.local, bs};
-  req.blocks = blocks;
-  req.erasures = erasures;
-  req.codec = &codec;
-  // Repair RPCs run the same decode machinery as client degraded
-  // reads but are background traffic: tag them so a governed service
-  // shapes them instead of treating them as latency-sensitive.
-  req.qos_class = ctx.type == MsgType::kRepair
-                      ? svc::TrafficClass::kRebuild
-                      : svc::TrafficClass::kDegradedRead;
-  auto fut = service_->submit(std::move(req));
-  const svc::Result r = fut.get();
-  if (!r.ok()) {
-    if (!svc::IsRejection(r.status)) return WireStatus::kUnrecoverable;
-    if (!codec.decode(bs, std::span<std::byte* const>(blocks),
-                      std::span<const std::size_t>(erasures))) {
-      return WireStatus::kUnrecoverable;
-    }
-  }
-  *out = std::move(buffers[target]);
-  *scope = 1;  // global
   return WireStatus::kOk;
 }
 
@@ -418,23 +333,7 @@ Frame Node::HandleEncode(const Frame& req) {
   for (std::uint32_t j = 0; j < geom.total_shards(); ++j) {
     const std::byte* bytes = j < geom.k ? data[j] : parity[j - geom.k];
     std::vector<std::byte> payload(bytes, bytes + geom.block_size);
-    bool ok;
-    if (req.placement[j] == cfg_.id) {
-      ok = PutChunk(req.stripe, j, payload);
-    } else if (transport_ != nullptr) {
-      Frame store;
-      store.type = MsgType::kStore;
-      store.stripe = req.stripe;
-      store.geom = geom;
-      store.blocks.push_back({j, payload});
-      Frame store_resp;
-      ok = transport_->call(cfg_.id, req.placement[j], store,
-                            &store_resp) == 0 &&
-           store_resp.status == WireStatus::kOk;
-    } else {
-      ok = false;
-    }
-    if (!ok) {
+    if (!StoreTo(req.placement[j], req.stripe, j, geom, payload)) {
       resp.status = WireStatus::kStoreFailed;
       resp.placement.push_back(j);  // failed shard indices
       resp.blocks.push_back({j, std::move(payload)});
@@ -444,59 +343,32 @@ Frame Node::HandleEncode(const Frame& req) {
 }
 
 Frame Node::HandleDegradedRead(const Frame& req) {
-  const Geometry& geom = req.geom;
-  if (!ValidGeomFrame(req) || req.shard >= geom.total_shards() ||
-      req.placement.size() != geom.total_shards()) {
-    return MakeResp(req, MsgType::kDegradedReadResp,
-                    WireStatus::kBadRequest);
-  }
   // This RPC is the LOCAL path only: a group member reconstructs the
   // target from its group. Anything needing the global parities is the
   // coordinator's job (kNeedGlobal), so the scope accounting — and the
   // locality invariant the chaos tests check — stays honest.
   std::vector<std::byte> acc;
-  if (GroupXor(req, req.shard, &acc) != WireStatus::kOk) {
-    return MakeResp(req, MsgType::kDegradedReadResp,
-                    WireStatus::kNeedGlobal);
+  const WireStatus st = GroupXor(req, &acc);
+  Frame resp = MakeResp(req, MsgType::kDegradedReadResp, st);
+  if (st == WireStatus::kOk) {
+    resp.aux = 0;  // local scope
+    resp.blocks.push_back({req.shard, std::move(acc)});
   }
-  Frame resp = MakeResp(req, MsgType::kDegradedReadResp, WireStatus::kOk);
-  resp.aux = 0;  // local scope
-  resp.blocks.push_back({req.shard, std::move(acc)});
   return resp;
 }
 
 Frame Node::HandleRepair(const Frame& req) {
-  const Geometry& geom = req.geom;
-  if (!ValidGeomFrame(req) || req.shard >= geom.total_shards() ||
-      req.placement.size() != geom.total_shards()) {
-    return MakeResp(req, MsgType::kRepairResp, WireStatus::kBadRequest);
-  }
+  // Local-only too: rebuild from the group and store to `aux`. A
+  // kNeedGlobal answer stores nothing; the coordinator then rebuilds
+  // from k survivors itself.
   std::vector<std::byte> rebuilt;
-  std::uint64_t scope = 1;
-  const WireStatus st = Reconstruct(req, req.shard, &rebuilt, &scope);
-  if (st != WireStatus::kOk) {
-    return MakeResp(req, MsgType::kRepairResp, st);
+  WireStatus st = GroupXor(req, &rebuilt);
+  if (st == WireStatus::kOk &&
+      !StoreTo(static_cast<NodeId>(req.aux), req.stripe, req.shard, req.geom,
+               std::move(rebuilt))) {
+    st = WireStatus::kStoreFailed;
   }
-  const NodeId dest = static_cast<NodeId>(req.aux);
-  bool stored;
-  if (dest == cfg_.id) {
-    stored = PutChunk(req.stripe, req.shard, rebuilt);
-  } else if (transport_ != nullptr) {
-    Frame store;
-    store.type = MsgType::kStore;
-    store.stripe = req.stripe;
-    store.geom = geom;
-    store.blocks.push_back({req.shard, std::move(rebuilt)});
-    Frame store_resp;
-    stored = transport_->call(cfg_.id, dest, store, &store_resp) == 0 &&
-             store_resp.status == WireStatus::kOk;
-  } else {
-    stored = false;
-  }
-  Frame resp = MakeResp(req, MsgType::kRepairResp,
-                        stored ? WireStatus::kOk : WireStatus::kStoreFailed);
-  resp.aux = scope;
-  return resp;
+  return MakeResp(req, MsgType::kRepairResp, st);
 }
 
 Frame Node::HandleHeartbeat(const Frame& req) {

@@ -10,6 +10,11 @@
 // (encode fan-out, local-group gathering) carries the stripe's
 // placement table in the frame, so a node never holds cluster-wide
 // state beyond its transport handle.
+//
+// A node only ever reconstructs locally: kDegradedRead and kRepair
+// both XOR the target's LRC group and answer kNeedGlobal when the
+// group cannot help. Global reconstruction from k survivors runs only
+// at the coordinator.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +24,10 @@
 #include <mutex>
 #include <vector>
 
+#include "cluster/codec_cache.h"
 #include "cluster/placement.h"
 #include "cluster/transport.h"
 #include "cluster/wire.h"
-#include "ec/codec.h"
 #include "integrity/checksum.h"
 #include "svc/stripe_service.h"
 
@@ -99,6 +104,10 @@ class Node {
   /// this node is home, one kRead RPC otherwise.
   WireStatus FetchRemote(const Frame& ctx, std::uint32_t shard,
                          std::vector<std::byte>* out);
+  /// Store a chunk on `dest`: locally when this node is `dest`, one
+  /// kStore RPC otherwise.
+  bool StoreTo(NodeId dest, std::uint64_t stripe, std::uint32_t shard,
+               const Geometry& geom, std::vector<std::byte> bytes);
 
   /// Encode k data blocks through the node's stripe service (serial
   /// codec fallback on rejection). Parity pointers must be sized for
@@ -107,19 +116,12 @@ class Node {
                     const std::vector<const std::byte*>& data,
                     const std::vector<std::byte*>& parity);
 
-  /// XOR of every other member of `target`'s local group into *out:
-  /// kOk, or kNeedGlobal when the target has no group or a member
-  /// cannot be fetched (*out untouched then).
-  WireStatus GroupXor(const Frame& ctx, std::uint32_t target,
-                      std::vector<std::byte>* out);
-
-  /// Reconstruct one shard of a stripe: local-group XOR when the
-  /// geometry has groups and every other member is reachable (scope
-  /// set to 0), full decode over >= k survivors otherwise (scope 1).
-  WireStatus Reconstruct(const Frame& ctx, std::uint32_t target,
-                         std::vector<std::byte>* out, std::uint64_t* scope);
-
-  const ec::Codec& CodecFor(const Geometry& geom);
+  /// The shared body of kDegradedRead and kRepair: validate the frame,
+  /// then XOR every other member of req.shard's local group into *out.
+  /// kOk; kBadRequest for a malformed frame; kNeedGlobal when the
+  /// shard has no group or a member cannot be fetched (*out untouched
+  /// then).
+  WireStatus GroupXor(const Frame& req, std::vector<std::byte>* out);
 
   std::filesystem::path ChunkPath(std::uint64_t stripe,
                                   std::uint32_t shard) const;
@@ -134,12 +136,8 @@ class Node {
   mutable std::mutex mu_;
   std::map<Key, Chunk> chunks_;  // guarded by mu_
 
-  std::mutex codec_mu_;
-  /// Per-geometry codec cache: DialgaCodec for plain RS (the node's
-  /// own adaptive planner), LrcCodec when the geometry has groups.
-  std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>,
-           std::unique_ptr<const ec::Codec>>
-      codecs_;
+  /// This node's own codecs, so its DIALGA planner adapts alone.
+  CodecCache codecs_;
 };
 
 }  // namespace cluster

@@ -48,6 +48,37 @@ obs::Counter& RpcErrors() {
 
 }  // namespace
 
+WireStatus ReadChunk(Transport& t, NodeId from, NodeId to,
+                     std::uint64_t stripe, std::uint32_t shard,
+                     const Geometry& geom, std::vector<std::byte>* out) {
+  Frame req;
+  req.type = MsgType::kRead;
+  req.stripe = stripe;
+  req.shard = shard;
+  req.geom = geom;
+  Frame resp;
+  if (t.call(from, to, req, &resp) != 0) return WireStatus::kNotFound;
+  if (resp.status != WireStatus::kOk || resp.blocks.size() != 1 ||
+      resp.blocks[0].bytes.size() != geom.block_size) {
+    return resp.status == WireStatus::kOk ? WireStatus::kNotFound
+                                          : resp.status;
+  }
+  *out = std::move(resp.blocks[0].bytes);
+  return WireStatus::kOk;
+}
+
+bool StoreChunk(Transport& t, NodeId from, NodeId to, std::uint64_t stripe,
+                std::uint32_t shard, const Geometry& geom,
+                std::vector<std::byte> bytes) {
+  Frame req;
+  req.type = MsgType::kStore;
+  req.stripe = stripe;
+  req.geom = geom;
+  req.blocks.push_back({shard, std::move(bytes)});
+  Frame resp;
+  return t.call(from, to, req, &resp) == 0 && resp.status == WireStatus::kOk;
+}
+
 void RegisterClusterMetrics() {
   static const bool once = [] {
     auto& reg = obs::Registry::Global();

@@ -78,6 +78,19 @@ class LoopbackTransport : public Transport {
   std::set<std::pair<NodeId, NodeId>> blocked_links_;  ///< normalized a<b
 };
 
+/// The one kRead RPC: fetch `shard` of `stripe` from node `to`. kOk
+/// only when the reply carries exactly one chunk of geom.block_size
+/// bytes; a failed delivery or a malformed reply reads as kNotFound,
+/// and the node's own refusal (kNotFound, kCorrupt) passes through.
+WireStatus ReadChunk(Transport& t, NodeId from, NodeId to,
+                     std::uint64_t stripe, std::uint32_t shard,
+                     const Geometry& geom, std::vector<std::byte>* out);
+
+/// The one kStore RPC: true when node `to` stored the chunk.
+bool StoreChunk(Transport& t, NodeId from, NodeId to, std::uint64_t stripe,
+                std::uint32_t shard, const Geometry& geom,
+                std::vector<std::byte> bytes);
+
 /// Eagerly registers every dialga_cluster_* metric family (zero-valued)
 /// so scrapes — and the CI metrics gate — see the families even before
 /// the first RPC. Idempotent.

@@ -21,7 +21,8 @@
 //     shard    u32   target shard index (reads / repair)
 //     status   u32   WireStatus (responses)
 //     aux      u64   per-type extra: repair destination node, heartbeat
-//                    chunk count, degraded-read scope
+//                    chunk count, degraded-read scope (a repair
+//                    response carries none)
 //     geometry u32×4 k, global, local, block_size
 //     placement u32 count, then count u32 node ids (home per shard)
 //     blocks    u32 count, then per block: u32 shard index, u32 byte
@@ -60,7 +61,7 @@ enum class MsgType : std::uint8_t {
   kReadResp = 4,
   kDegradedRead = 5,  ///< reconstruct a shard inside its local group
   kDegradedReadResp = 6,
-  kRepair = 7,        ///< reconstruct + store to `aux` destination node
+  kRepair = 7,        ///< local-group rebuild + store to `aux` node
   kRepairResp = 8,
   kStore = 9,         ///< store one shard chunk (encode fan-out, repair)
   kStoreResp = 10,

@@ -1,8 +1,9 @@
 // Functional coverage of the cluster tier over the in-process
 // LocalCluster harness: write/read round trips (RS and LRC), the
 // degraded-read scope ordering (local group before global parity),
-// scrub repair of dropped and bit-rotted chunks, membership-change
-// rebalancing, the token-bucket rate limiter in virtual time, the
+// scrub repair of dropped and bit-rotted chunks, the node's
+// local-only kRepair, membership-change rebalancing and its read
+// budget, the token-bucket rate limiter in virtual time, the
 // cluster manifest, and per-node fault-site routing.
 #include "cluster/local_cluster.h"
 
@@ -420,33 +421,123 @@ TEST_F(ClusterTest, ScrubRepairsDroppedAndCorruptChunks) {
   }
 }
 
-TEST_F(ClusterTest, RemoveNodeRebuildsItsChunks) {
-  LocalCluster c(Cfg(6, 0, kRs));
-  std::vector<std::vector<std::vector<std::byte>>> stripes;
-  for (std::uint64_t s = 0; s < 6; ++s) {
-    stripes.push_back(MakeStripe(kRs, 100 + s));
-    const auto ptrs = Ptrs(stripes.back());
-    ASSERT_TRUE(
-        c.coordinator()
-            .write_stripe(s, std::span<const std::byte* const>(ptrs))
-            .ok());
+TEST_F(ClusterTest, NodeRepairIsLocalOnly) {
+  // A node's kRepair only XORs the target's group. With a group mate's
+  // chunk gone it answers kNeedGlobal and stores nothing: global
+  // reconstruction is the coordinator's.
+  LocalCluster c(Cfg(9, 3, kLrc));
+  const auto data = MakeStripe(kLrc, 31);
+  const auto ptrs = Ptrs(data);
+  ASSERT_TRUE(c.coordinator()
+                  .write_stripe(8, std::span<const std::byte* const>(ptrs))
+                  .ok());
+  const auto table = c.placement().table(8, kLrc);
+  // Group 0 is data shards 0, 1 and local parity 6: rebuild 0 onto its
+  // home through 6's home while 1's chunk is missing.
+  const auto members = kLrc.group_members(0);
+  ASSERT_EQ(members.size(), 3u);
+  const std::uint32_t target = members[0], mate = members[1];
+  const std::uint32_t helper = members[2];
+  ASSERT_TRUE(c.node(table[target] - 1).drop_chunk(8, target));
+  ASSERT_TRUE(c.node(table[mate] - 1).drop_chunk(8, mate));
+  cluster::Frame req;
+  req.type = cluster::MsgType::kRepair;
+  req.stripe = 8;
+  req.shard = target;
+  req.aux = table[target];
+  req.geom = kLrc;
+  req.placement = table;
+  cluster::Frame resp;
+  ASSERT_EQ(c.node(table[helper] - 1).handle(req, &resp), 0);
+  EXPECT_EQ(resp.type, cluster::MsgType::kRepairResp);
+  EXPECT_EQ(resp.status, cluster::WireStatus::kNeedGlobal);
+  EXPECT_FALSE(c.node(table[target] - 1).has_chunk(8, target));
+}
+
+TEST_F(ClusterTest, RepairSkipsLocalAttemptWhenGroupMemberKnownDown) {
+  LocalCluster c(Cfg(9, 3, kLrc));
+  const auto data = MakeStripe(kLrc, 32);
+  const auto ptrs = Ptrs(data);
+  ASSERT_TRUE(c.coordinator()
+                  .write_stripe(3, std::span<const std::byte* const>(ptrs))
+                  .ok());
+  const auto table = c.placement().table(3, kLrc);
+  // Drop data shard 0 on its live home and kill the home of group mate
+  // 1: a helper could only answer kNeedGlobal, so scrub must not ask.
+  const std::uint32_t target = 0, mate = 1;
+  ASSERT_EQ(kLrc.group_of(mate), kLrc.group_of(target));
+  ASSERT_NE(table[target], table[mate]);
+  ASSERT_TRUE(c.node(table[target] - 1).drop_chunk(3, target));
+  c.kill(table[mate] - 1);
+  c.coordinator().heartbeat();
+  // Scrub reads every chunk whose home is up once to verify it.
+  std::uint64_t verify_reads = 0;
+  for (const cluster::NodeId home : table) {
+    verify_reads += home != table[mate];
   }
-  // Node at position 2 dies for good: placement drops it, rebalance
-  // re-homes (reconstructing, since the old home is dead) every chunk
-  // it held.
-  c.kill(2);
-  const auto report = c.coordinator().remove_node(LocalCluster::id_of(2));
-  EXPECT_GT(report.moved + report.rebuilt, 0u);
-  EXPECT_EQ(report.failed, 0u);
-  for (std::uint64_t s = 0; s < 6; ++s) {
-    for (const auto node : c.placement().table(s, kRs)) {
-      EXPECT_NE(node, LocalCluster::id_of(2));
+
+  const auto rpcs = [](const char* type) {
+    return CounterValue("dialga_cluster_rpc_total", {{"type", type}});
+  };
+  const std::uint64_t repairs0 = rpcs("repair");
+  const std::uint64_t reads0 = rpcs("read");
+  const auto report = c.coordinator().scrub_pass();
+  EXPECT_EQ(report.repaired, 1u);
+  EXPECT_EQ(report.unrecoverable, 0u);
+  EXPECT_EQ(rpcs("repair") - repairs0, 0u) << "local attempt that cannot succeed";
+  EXPECT_EQ(rpcs("read") - reads0, verify_reads + kLrc.k)
+      << "repair fetched beyond the k survivors";
+  std::vector<std::byte> out;
+  EXPECT_EQ(c.coordinator().read_block(3, target, &out).code,
+            OpResult::Code::kOk);
+  EXPECT_EQ(out, data[target]);
+}
+
+TEST_F(ClusterTest, RemoveNodeRebuildsItsChunks) {
+  // RS, and the benchmark's LRC shape (no chunk moves there, so every
+  // read belongs to a rebuild: fewer than k for a local one, k
+  // survivors for a global one).
+  struct Input {
+    LocalClusterConfig cfg;
+    std::uint64_t stripes;
+  };
+  for (const Input& in :
+       {Input{Cfg(6, 0, kRs), 6}, Input{Cfg(8, 4, kLrc8), 64}}) {
+    const Geometry& g = in.cfg.geom;
+    SCOPED_TRACE("local " + std::to_string(g.local));
+    LocalCluster c(in.cfg);
+    std::vector<std::vector<std::vector<std::byte>>> stripes;
+    for (std::uint64_t s = 0; s < in.stripes; ++s) {
+      stripes.push_back(MakeStripe(g, 100 + s));
+      const auto ptrs = Ptrs(stripes.back());
+      ASSERT_TRUE(
+          c.coordinator()
+              .write_stripe(s, std::span<const std::byte* const>(ptrs))
+              .ok());
     }
-    for (std::uint32_t j = 0; j < kRs.k; ++j) {
-      std::vector<std::byte> out;
-      EXPECT_EQ(c.coordinator().read_block(s, j, &out).code,
-                OpResult::Code::kOk);
-      EXPECT_EQ(out, stripes[s][j]);
+    // Node at position 2 dies for good: placement drops it, rebalance
+    // re-homes (reconstructing, since the old home is dead) every chunk
+    // it held.
+    const std::uint64_t reads0 =
+        CounterValue("dialga_cluster_rpc_total", {{"type", "read"}});
+    c.kill(2);
+    const auto report = c.coordinator().remove_node(LocalCluster::id_of(2));
+    const std::uint64_t reads =
+        CounterValue("dialga_cluster_rpc_total", {{"type", "read"}}) - reads0;
+    EXPECT_GT(report.moved + report.rebuilt, 0u);
+    EXPECT_EQ(report.failed, 0u);
+    // One kRead per move, at most k per rebuilt chunk.
+    EXPECT_LE(reads, g.k * report.rebuilt + report.moved);
+    for (std::uint64_t s = 0; s < in.stripes; ++s) {
+      for (const auto node : c.placement().table(s, g)) {
+        EXPECT_NE(node, LocalCluster::id_of(2));
+      }
+      for (std::uint32_t j = 0; j < g.k; ++j) {
+        std::vector<std::byte> out;
+        EXPECT_EQ(c.coordinator().read_block(s, j, &out).code,
+                  OpResult::Code::kOk);
+        EXPECT_EQ(out, stripes[s][j]);
+      }
     }
   }
 }
