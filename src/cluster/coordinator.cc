@@ -176,16 +176,23 @@ OpResult Coordinator::GlobalReconstruct(std::uint64_t stripe,
   const Geometry& geom = cfg_.geom;
   const std::uint32_t total = geom.total_shards();
   // Survivors in index order (data, global parity, local parity),
-  // stopping at k: the same set a decode over every reachable chunk
-  // would pick, without fetching the chunks it would ignore. A chunk
-  // that is unreachable, missing or corrupt is skipped for the next.
+  // stopping at k. A chunk whose generator row depends on the ones
+  // already fetched is passed over unfetched (a local parity beside its
+  // whole group adds nothing), and one that is unreachable, missing or
+  // corrupt is skipped for the next. The fetched rows are then a greedy
+  // basis of the available ones, so a stripe any k survivors decode is
+  // decoded, and the normal case still reads exactly k chunks.
+  const ec::Codec& codec = codecs_.get(geom);
   std::vector<std::vector<std::byte>> chunks(total);
   std::vector<std::byte*> blocks(total, nullptr);
   std::vector<std::size_t> present;
   present.reserve(geom.k);
   for (std::uint32_t j = 0; j < total && present.size() < geom.k; ++j) {
     if (j == shard) continue;
-    if (!NodeUp(table[j]) ||
+    present.push_back(j);
+    const bool adds_rank = codec.independent(present);
+    present.pop_back();
+    if (!adds_rank || !NodeUp(table[j]) ||
         ReadChunk(*transport_, kClientId, table[j], stripe, j, geom,
                   &chunks[j]) != WireStatus::kOk) {
       continue;
@@ -201,10 +208,9 @@ OpResult Coordinator::GlobalReconstruct(std::uint64_t stripe,
   }
   out->resize(geom.block_size);
   blocks[shard] = out->data();
-  if (!codecs_.get(geom).reconstruct(geom.block_size,
-                                     std::span<std::byte* const>(blocks),
-                                     std::span<const std::size_t>(present),
-                                     shard)) {
+  if (!codec.reconstruct(geom.block_size,
+                         std::span<std::byte* const>(blocks),
+                         std::span<const std::size_t>(present), shard)) {
     QuorumLoss().inc();
     return {OpResult::Code::kQuorumLoss, "decode failed"};
   }
@@ -217,8 +223,8 @@ bool Coordinator::AskGroup(MsgType type, std::uint64_t stripe,
                            std::uint64_t aux, Frame* resp) {
   const Geometry& geom = cfg_.geom;
   // The helper needs every other member, so when one of them is
-  // already known down (often it shares the target's dead home) the
-  // RPC could only answer kNeedGlobal: send nothing.
+  // already known down the RPC could only answer kNeedGlobal: send
+  // nothing.
   const int group = geom.group_of(shard);
   if (group < 0) return false;
   const std::vector<std::uint32_t> members =
@@ -239,10 +245,12 @@ bool Coordinator::AskGroup(MsgType type, std::uint64_t stripe,
     if (member == shard) continue;
     const NodeId helper = table[member];
     if (!NodeUp(helper)) continue;
-    // A degraded read's target home just failed its read, so a member
-    // homed there would likely fail too. A repair's target home is
-    // either down (rebuild) or answered kNotFound/kCorrupt (scrub), and
-    // then it XORs the members it holds without a single remote read.
+    // A member shares the target's home only when the membership is
+    // smaller than the stripe. A degraded read's target home just
+    // failed its read, so such a member would likely fail too. A
+    // repair's target home is up only on a scrub, where it answered
+    // kNotFound/kCorrupt for the target chunk alone, so its other
+    // chunks serve as well as any member's.
     if (type == MsgType::kDegradedRead && helper == table[shard]) continue;
     if (Call(helper, req, resp) != 0) continue;
     // The first answer decides: anything but kOk (kNeedGlobal) means

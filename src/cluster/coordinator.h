@@ -194,9 +194,10 @@ class Coordinator {
   OpResult DegradedRead(std::uint64_t stripe, std::uint32_t shard,
                         const std::vector<NodeId>& table,
                         std::vector<std::byte>* out);
-  /// Global reconstruction at the coordinator: fetch the first k
-  /// reachable survivors in shard order and rebuild only `shard` into
-  /// *out (its contents are unspecified on failure).
+  /// Global reconstruction at the coordinator: fetch, in shard order,
+  /// the first k reachable survivors whose generator rows are
+  /// independent and rebuild only `shard` into *out (its contents are
+  /// unspecified on failure).
   OpResult GlobalReconstruct(std::uint64_t stripe, std::uint32_t shard,
                              const std::vector<NodeId>& table,
                              std::vector<std::byte>* out);

@@ -63,7 +63,7 @@ void LocalCluster::partition(const std::vector<std::size_t>& a,
 
 std::string ClusterManifest::serialize() const {
   std::ostringstream os;
-  os << "version 1\n";
+  os << "version " << kVersion << "\n";
   os << "nodes " << nodes << "\n";
   os << "domains " << domains << "\n";
   os << "k " << geom.k << "\n";
@@ -77,9 +77,10 @@ std::string ClusterManifest::serialize() const {
   return os.str();
 }
 
-bool ClusterManifest::parse(const std::string& text, ClusterManifest* out) {
+bool ClusterManifest::parse(const std::string& text, ClusterManifest* out,
+                            std::string* why) {
   ClusterManifest m;
-  bool saw_version = false;
+  std::uint64_t version = 0;
   std::istringstream is(text);
   std::string line;
   while (std::getline(is, line)) {
@@ -90,8 +91,8 @@ bool ClusterManifest::parse(const std::string& text, ClusterManifest* out) {
     auto read_u64 = [&ls](std::uint64_t* v) { return bool(ls >> *v); };
     std::uint64_t v = 0;
     if (key == "version") {
-      if (!read_u64(&v) || v != 1) return false;
-      saw_version = true;
+      if (!read_u64(&v) || v == 0 || v > kVersion) return false;
+      version = v;
     } else if (key == "nodes") {
       if (!read_u64(&v)) return false;
       m.nodes = static_cast<std::size_t>(v);
@@ -118,7 +119,17 @@ bool ClusterManifest::parse(const std::string& text, ClusterManifest* out) {
     }
     // unknown keys: skipped, so old binaries read newer manifests
   }
-  if (!saw_version || m.nodes == 0 || !m.geom.valid()) return false;
+  if (version == 0 || m.nodes == 0 || !m.geom.valid()) return false;
+  if (version == 1 && m.geom.local > 0) {
+    // RS tables are the same in both versions; LRC ones are not.
+    if (why != nullptr) {
+      *why =
+          "version 1 LRC manifest: LRC placement now spills a local group "
+          "that does not fit its failure domain onto other nodes, so the "
+          "chunks are not where this build looks; re-encode the input";
+    }
+    return false;
+  }
   if (out != nullptr) *out = std::move(m);
   return true;
 }
@@ -131,12 +142,12 @@ bool ClusterManifest::save(const std::filesystem::path& path) const {
 }
 
 bool ClusterManifest::load(const std::filesystem::path& path,
-                           ClusterManifest* out) {
+                           ClusterManifest* out, std::string* why) {
   std::ifstream is(path);
   if (!is) return false;
   std::ostringstream buf;
   buf << is.rdbuf();
-  return parse(buf.str(), out);
+  return parse(buf.str(), out, why);
 }
 
 }  // namespace cluster

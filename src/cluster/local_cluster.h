@@ -84,7 +84,13 @@ class LocalCluster {
 /// stripes written so far, as `key value` lines. Parsing is hardened
 /// the same way the wire codec is: unknown keys are ignored, malformed
 /// values fail the parse instead of faulting.
+///
+/// Version 2 marks the LRC placement that spills a group past a full
+/// failure domain. A version 1 RS manifest still opens (RS tables did
+/// not change); a version 1 LRC one is refused with a reason.
 struct ClusterManifest {
+  static constexpr std::uint64_t kVersion = 2;
+
   std::size_t nodes = 0;
   std::size_t domains = 0;
   Geometry geom;
@@ -94,10 +100,14 @@ struct ClusterManifest {
   std::vector<std::uint64_t> stripes;
 
   std::string serialize() const;
-  static bool parse(const std::string& text, ClusterManifest* out);
+  /// False on a malformed or unsupported manifest; *why, when given,
+  /// receives the reason for a well-formed one this build refuses.
+  static bool parse(const std::string& text, ClusterManifest* out,
+                    std::string* why = nullptr);
 
   bool save(const std::filesystem::path& path) const;
-  static bool load(const std::filesystem::path& path, ClusterManifest* out);
+  static bool load(const std::filesystem::path& path, ClusterManifest* out,
+                   std::string* why = nullptr);
 };
 
 }  // namespace cluster

@@ -130,25 +130,47 @@ void Placement::rebuild() {
             [](const Point& a, const Point& b) { return a.hash < b.hash; });
 }
 
-NodeId Placement::lookup(const std::vector<Point>& ring, std::uint64_t h,
-                         const std::vector<NodeId>& used) const {
-  if (ring.empty()) return kClientId;
+NodeId Placement::lookup_free(const std::vector<Point>& ring,
+                              std::uint64_t h,
+                              const std::vector<NodeId>& used,
+                              std::uint64_t* at) const {
   auto it = std::lower_bound(
       ring.begin(), ring.end(), h,
       [](const Point& p, std::uint64_t v) { return p.hash < v; });
   // Walk clockwise, skipping used nodes; one full lap means every node
-  // on this ring is used — fall back to the plain successor so wide
-  // stripes still place on small memberships.
+  // on this ring is used.
   for (std::size_t step = 0; step < ring.size(); ++step) {
     if (it == ring.end()) it = ring.begin();
-    if (!Contains(used, it->node)) return it->node;
+    if (!Contains(used, it->node)) {
+      if (at != nullptr) *at = it->hash;
+      return it->node;
+    }
     ++it;
   }
-  it = std::lower_bound(
+  return kClientId;
+}
+
+NodeId Placement::lookup(const std::vector<Point>& ring, std::uint64_t h,
+                         const std::vector<NodeId>& used) const {
+  if (ring.empty()) return kClientId;
+  const NodeId free = lookup_free(ring, h, used);
+  if (free != kClientId) return free;
+  // Every node is used: fall back to the plain successor so wide
+  // stripes still place on small memberships.
+  auto it = std::lower_bound(
       ring.begin(), ring.end(), h,
       [](const Point& p, std::uint64_t v) { return p.hash < v; });
   if (it == ring.end()) it = ring.begin();
   return it->node;
+}
+
+const std::vector<Placement::Point>& Placement::domain_ring(
+    std::uint32_t domain) const {
+  for (const auto& [d, ring] : domain_rings_) {
+    if (d == domain) return ring;
+  }
+  static const std::vector<Point> kEmpty;
+  return kEmpty;
 }
 
 std::vector<NodeId> Placement::table(std::uint64_t stripe_id,
@@ -172,9 +194,20 @@ std::vector<NodeId> Placement::table(std::uint64_t stripe_id,
     return out;
   }
 
-  // LRC: pin each group to one failure domain (distinct per group when
-  // the cluster has enough domains), distinct nodes inside the domain.
+  // LRC: every shard skips the nodes this stripe already used (reuse
+  // starts over once all are used, as for RS).
+  const auto take = [&](NodeId n) {
+    if (!Contains(used, n)) used.push_back(n);
+    if (used.size() == nodes_.size()) used.clear();
+  };
+
+  // Each group goes to one failure domain (distinct per group when the
+  // cluster has enough domains), on that domain's free nodes. A member
+  // the domain has no free node for spills onto a free node elsewhere
+  // once the global parities are placed, so no node holds two members
+  // of a group while nodes >= shards.
   std::vector<std::uint32_t> group_domains;
+  std::vector<std::uint32_t> spilled;
   for (std::uint32_t g = 0; g < geom.groups(); ++g) {
     const std::uint64_t h = Mix3(kGroupSalt, stripe_id, g);
     std::uint32_t dom = 0;
@@ -198,48 +231,67 @@ std::vector<NodeId> Placement::table(std::uint64_t stripe_id,
     }
     group_domains.push_back(dom);
 
-    const std::vector<Point>* dr = nullptr;
-    for (const auto& [d, ring] : domain_rings_) {
-      if (d == dom) dr = &ring;
-    }
-    std::vector<NodeId> used_in_domain;
+    const std::vector<Point>& dr = domain_ring(dom);
     for (const std::uint32_t member : geom.group_members(g)) {
       const std::uint64_t mh = Mix3(kShardSalt, stripe_id, member);
-      NodeId n = dr != nullptr && !dr->empty()
-                     ? lookup(*dr, mh, used_in_domain)
-                     : lookup(ring_, mh, used);
+      const NodeId n = lookup_free(dr, mh, used);
+      if (n == kClientId) {
+        spilled.push_back(member);
+        continue;
+      }
       out[member] = n;
-      used_in_domain.push_back(n);
-      if (!Contains(used, n) && used.size() < nodes_.size()) used.push_back(n);
+      take(n);
     }
   }
 
-  // Global parities: prefer domains no group claimed, then distinct
-  // nodes anywhere.
+  // Global parities: the first domain no group claimed that still has
+  // a free node, in ring order from the parity's point; else any free
+  // node.
   for (std::uint32_t j = geom.k; j < geom.k + geom.global; ++j) {
     const std::uint64_t h = Mix3(kGlobalSalt, stripe_id, j);
     NodeId n = kClientId;
-    const bool spare_domains = group_domains.size() < domains_.size();
-    if (spare_domains) {
+    if (group_domains.size() < domains_.size()) {
+      std::vector<std::uint32_t> tried = group_domains;
       auto it = std::lower_bound(
           domain_ring_.begin(), domain_ring_.end(), h,
           [](const Point& p, std::uint64_t v) { return p.hash < v; });
-      for (std::size_t step = 0; step < domain_ring_.size(); ++step) {
+      for (std::size_t step = 0;
+           step < domain_ring_.size() && tried.size() < domains_.size() &&
+           n == kClientId;
+           ++step, ++it) {
         if (it == domain_ring_.end()) it = domain_ring_.begin();
         const std::uint32_t cand = static_cast<std::uint32_t>(it->node);
-        if (!ContainsU32(group_domains, cand)) {
-          for (const auto& [d, ring] : domain_rings_) {
-            if (d == cand) n = lookup(ring, h, used);
-          }
-          break;
-        }
-        ++it;
+        if (ContainsU32(tried, cand)) continue;
+        tried.push_back(cand);
+        n = lookup_free(domain_ring(cand), h, used);
       }
     }
-    if (n == kClientId) n = lookup(ring_, h, used);
+    if (n == kClientId) n = lookup_free(ring_, h, used);
     out[j] = n;
-    if (used.size() < nodes_.size()) used.push_back(n);
-    if (used.size() == nodes_.size()) used.clear();
+    take(n);
+  }
+
+  // Spilled members last, the closest (member, free node) pair on the
+  // ring first: matching by ring distance instead of member order keeps
+  // one node leaving from cascading through every later spill.
+  while (!spilled.empty()) {
+    auto best = spilled.end();
+    NodeId best_node = kClientId;
+    std::uint64_t best_dist = 0;
+    for (auto it = spilled.begin(); it != spilled.end(); ++it) {
+      const std::uint64_t mh = Mix3(kShardSalt, stripe_id, *it);
+      std::uint64_t at = 0;
+      // take() never leaves every node used, so a free node exists.
+      const NodeId n = lookup_free(ring_, mh, used, &at);
+      if (best == spilled.end() || at - mh < best_dist) {
+        best = it;
+        best_node = n;
+        best_dist = at - mh;
+      }
+    }
+    out[*best] = best_node;
+    take(best_node);
+    spilled.erase(best);
   }
   return out;
 }

@@ -15,13 +15,15 @@
 //     joins or leaves, not a full reshuffle.
 //
 // LRC awareness: for a geometry with local groups, each group (its
-// data shards plus its XOR local parity) is pinned to ONE failure
-// domain — chosen per (stripe, group) from a domain-level ring — on
-// distinct nodes inside that domain, and the global parities land in
-// domains none of the groups use (when enough domains exist). A whole
-// failure domain can then be lost without touching more than one
-// shard of any local group beyond what the group's local parity
-// repairs, and degraded reads stay inside one domain.
+// data shards plus its XOR local parity) goes to ONE failure domain —
+// chosen per (stripe, group) from a domain-level ring — on nodes of
+// that domain the stripe has not used yet. A member the domain has no
+// free node for spills onto a free node elsewhere, and the global
+// parities go to the next domain no group claimed that still has a
+// free node. A stripe's shards therefore land on distinct nodes
+// whenever nodes >= total_shards, so one lost node costs each group at
+// most one member, which its local parity repairs; and when every
+// domain can hold a whole group, a lost domain costs at most one group.
 #pragma once
 
 #include <cstddef>
@@ -101,10 +103,11 @@ class Placement {
   bool has_node(NodeId id) const;
 
   /// The placement table of one stripe: home node per shard index,
-  /// geom.total_shards() entries. Shards land on distinct nodes while
-  /// the membership allows it (nodes are reused round-robin once
-  /// exhausted, so small clusters still place wide stripes). Empty
-  /// when the membership is empty or the geometry invalid.
+  /// geom.total_shards() entries. Shards land on distinct nodes
+  /// whenever size() >= total_shards(), RS and LRC alike (nodes are
+  /// reused round-robin once exhausted, so small clusters still place
+  /// wide stripes). Empty when the membership is empty or the geometry
+  /// invalid.
   std::vector<NodeId> table(std::uint64_t stripe_id,
                             const Geometry& geom) const;
 
@@ -118,10 +121,18 @@ class Placement {
   };
 
   void rebuild();
-  /// First node at or clockwise after `h` whose id is not in `used`;
-  /// falls back to plain successor when every node is used.
+  /// First node at or clockwise after `h` whose id is not in `used`
+  /// (*at, when given, receives its point); kClientId when every node
+  /// on `ring` is used.
+  NodeId lookup_free(const std::vector<Point>& ring, std::uint64_t h,
+                     const std::vector<NodeId>& used,
+                     std::uint64_t* at = nullptr) const;
+  /// lookup_free, falling back to the plain successor when every node
+  /// is used.
   NodeId lookup(const std::vector<Point>& ring, std::uint64_t h,
                 const std::vector<NodeId>& used) const;
+  /// The node ring of one failure domain (empty for an unknown one).
+  const std::vector<Point>& domain_ring(std::uint32_t domain) const;
 
   std::vector<NodeInfo> nodes_;
   std::size_t vnodes_;

@@ -35,4 +35,8 @@ bool Codec::reconstruct(std::size_t block_size,
   return decode(block_size, all, erasures);
 }
 
+bool Codec::independent(std::span<const std::size_t> rows) const {
+  return rows.size() <= params().k;
+}
+
 }  // namespace ec

@@ -59,6 +59,12 @@ class Codec {
                            std::span<const std::size_t> present,
                            std::size_t target) const;
 
+  /// True when the generator rows of `rows` (distinct block indices,
+  /// data then parity) are linearly independent, so k of them feed
+  /// reconstruct(). The default assumes an MDS code, where any k or
+  /// fewer rows are; codecs that are not MDS override it.
+  virtual bool independent(std::span<const std::size_t> rows) const;
+
   /// Memory access pattern of one stripe encode.
   virtual EncodePlan encode_plan(std::size_t block_size,
                                  const simmem::ComputeCost& cost) const = 0;

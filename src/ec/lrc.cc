@@ -1,5 +1,6 @@
 #include "ec/lrc.h"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
 #include <sstream>
@@ -99,6 +100,22 @@ bool LrcCodec::reconstruct(std::size_t block_size,
                            std::size_t target) const {
   return SystematicReconstruct(combined_generator(), k_, m_ + l_, block_size,
                                blocks, present, target);
+}
+
+bool LrcCodec::independent(std::span<const std::size_t> rows) const {
+  if (rows.size() > k_) return false;
+  // Data and global rows alone are Cauchy rows: any k are independent.
+  if (std::none_of(rows.begin(), rows.end(),
+                   [&](std::size_t r) { return r >= k_ + m_; })) {
+    return true;
+  }
+  const gf::Matrix gen = combined_generator();
+  gf::Matrix sub(rows.size(), k_);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::copy(gen.row(rows[i]).begin(), gen.row(rows[i]).end(),
+              sub.row(i).begin());
+  }
+  return gf::rank(sub) == rows.size();
 }
 
 EncodePlan LrcCodec::encode_plan(std::size_t block_size,

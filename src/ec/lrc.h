@@ -42,6 +42,10 @@ class LrcCodec : public Codec {
                    std::span<const std::size_t> present,
                    std::size_t target) const override;
 
+  /// LRC is not MDS: a local parity beside its whole group adds
+  /// nothing. Rank over the combined generator.
+  bool independent(std::span<const std::size_t> rows) const override;
+
   EncodePlan encode_plan(std::size_t block_size,
                          const simmem::ComputeCost& cost) const override;
   EncodePlan decode_plan(std::size_t block_size,

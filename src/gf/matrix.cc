@@ -103,6 +103,33 @@ std::optional<Matrix> invert(const Matrix& a) {
   return inv_m;
 }
 
+std::size_t rank(const Matrix& a) {
+  Matrix work = a;
+  std::size_t r = 0;
+  for (std::size_t col = 0; col < work.cols() && r < work.rows(); ++col) {
+    std::size_t pivot = r;
+    while (pivot < work.rows() && work.at(pivot, col) == 0) ++pivot;
+    if (pivot == work.rows()) continue;
+    if (pivot != r) {
+      for (std::size_t c = 0; c < work.cols(); ++c) {
+        std::swap(work.at(pivot, c), work.at(r, c));
+      }
+    }
+    // Clear the column below the pivot.
+    const u8 pinv = inv(work.at(r, col));
+    for (std::size_t below = r + 1; below < work.rows(); ++below) {
+      const u8 f = mul(work.at(below, col), pinv);
+      if (f == 0) continue;
+      const auto& tab = mul_row(f);
+      for (std::size_t c = col; c < work.cols(); ++c) {
+        work.at(below, c) ^= tab[work.at(r, c)];
+      }
+    }
+    ++r;
+  }
+  return r;
+}
+
 std::optional<Matrix> decode_matrix(const Matrix& gen,
                                     std::span<const std::size_t> present,
                                     std::span<const std::size_t> erased_data) {

@@ -61,6 +61,9 @@ Matrix vandermonde_generator(std::size_t k, std::size_t m);
 /// Gauss-Jordan inversion; nullopt when singular.
 std::optional<Matrix> invert(const Matrix& a);
 
+/// Rank over GF(2^8) (Gaussian elimination on a copy).
+std::size_t rank(const Matrix& a);
+
 /// Decode matrix for recovering erased blocks of a systematic code.
 ///
 /// `gen` is the (k+m) x k generator; `present` lists k distinct

@@ -217,49 +217,56 @@ TEST_F(ClusterChaosTest, PartitionsNeverLoseAckedData) {
 // ---------------------------------------------------------------------
 // Degraded-read locality: with one node of an LRC group down, reads of
 // that group's shards are served from the LOCAL group — the
-// scope=local counter moves and scope=global does not.
+// scope=local counter moves and scope=global does not. It holds where
+// every domain fits a group (9 nodes in 3 racks) and where none does
+// (8 nodes in 4 two-node domains, and one domain per node).
 
 TEST_F(ClusterChaosTest, SingleFailureDegradedReadsStayLocal) {
-  for (const std::uint64_t seed : ChaosSeeds()) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    std::mt19937_64 rng(seed);
-    LocalCluster c(Cfg(9, 3, kLrc));
-    std::map<std::uint64_t, std::vector<std::vector<std::byte>>> acked;
-    for (std::uint64_t s = 0; s < 8; ++s) {
-      auto data = MakeStripe(kLrc, seed * 5000 + s);
-      std::vector<const std::byte*> ptrs;
-      for (const auto& b : data) ptrs.push_back(b.data());
-      ASSERT_TRUE(c.coordinator()
-                      .write_stripe(s, std::span<const std::byte* const>(
-                                           ptrs))
-                      .ok());
-      acked.emplace(s, std::move(data));
+  for (const auto& [nodes, domains] :
+       {std::pair<std::size_t, std::size_t>{9, 3}, {8, 4}, {8, 0}}) {
+    for (const std::uint64_t seed : ChaosSeeds()) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(nodes) + " nodes in " +
+                   std::to_string(domains) + " domains");
+      std::mt19937_64 rng(seed);
+      LocalCluster c(Cfg(nodes, domains, kLrc));
+      std::map<std::uint64_t, std::vector<std::vector<std::byte>>> acked;
+      for (std::uint64_t s = 0; s < 8; ++s) {
+        auto data = MakeStripe(kLrc, seed * 5000 + s);
+        std::vector<const std::byte*> ptrs;
+        for (const auto& b : data) ptrs.push_back(b.data());
+        ASSERT_TRUE(c.coordinator()
+                        .write_stripe(s, std::span<const std::byte* const>(
+                                             ptrs))
+                        .ok());
+        acked.emplace(s, std::move(data));
+      }
+      // Kill the home of one random DATA shard of one random stripe and
+      // read that shard back.
+      const std::uint64_t victim_stripe = rng() % 8;
+      const std::uint32_t victim_shard = static_cast<std::uint32_t>(
+          rng() % kLrc.k);
+      const auto table = c.placement().table(victim_stripe, kLrc);
+      const std::uint64_t local_before = CounterValue(
+          "dialga_cluster_degraded_read_total", {{"scope", "local"}});
+      const std::uint64_t global_before = CounterValue(
+          "dialga_cluster_degraded_read_total", {{"scope", "global"}});
+      c.kill(table[victim_shard] - 1);
+      std::vector<std::byte> out;
+      const OpResult r =
+          c.coordinator().read_block(victim_stripe, victim_shard, &out);
+      ASSERT_EQ(r.code, OpResult::Code::kDegraded) << r.detail;
+      ASSERT_EQ(out, acked[victim_stripe][victim_shard]);
+      EXPECT_EQ(CounterValue("dialga_cluster_degraded_read_total",
+                             {{"scope", "local"}}),
+                local_before + 1)
+          << "single-failure degraded read left the local group";
+      EXPECT_EQ(CounterValue("dialga_cluster_degraded_read_total",
+                             {{"scope", "global"}}),
+                global_before)
+          << "single-failure degraded read touched global parity";
+      c.revive(table[victim_shard] - 1);
     }
-    // Kill the home of one random DATA shard of one random stripe and
-    // read that shard back.
-    const std::uint64_t victim_stripe = rng() % 8;
-    const std::uint32_t victim_shard = static_cast<std::uint32_t>(
-        rng() % kLrc.k);
-    const auto table = c.placement().table(victim_stripe, kLrc);
-    const std::uint64_t local_before = CounterValue(
-        "dialga_cluster_degraded_read_total", {{"scope", "local"}});
-    const std::uint64_t global_before = CounterValue(
-        "dialga_cluster_degraded_read_total", {{"scope", "global"}});
-    c.kill(table[victim_shard] - 1);
-    std::vector<std::byte> out;
-    const OpResult r =
-        c.coordinator().read_block(victim_stripe, victim_shard, &out);
-    ASSERT_EQ(r.code, OpResult::Code::kDegraded) << r.detail;
-    ASSERT_EQ(out, acked[victim_stripe][victim_shard]);
-    EXPECT_EQ(CounterValue("dialga_cluster_degraded_read_total",
-                           {{"scope", "local"}}),
-              local_before + 1)
-        << "single-failure degraded read left the local group";
-    EXPECT_EQ(CounterValue("dialga_cluster_degraded_read_total",
-                           {{"scope", "global"}}),
-              global_before)
-        << "single-failure degraded read touched global parity";
-    c.revive(table[victim_shard] - 1);
   }
 }
 

@@ -222,32 +222,25 @@ TEST_F(ClusterTest, LocalDegradedReadAtOddBlockSize) {
   EXPECT_EQ(want[0], data[0]);
 }
 
-// The benchmark's cluster shape: 8 nodes in 4 two-node domains, so a
-// three-member local group shares one domain and often one node.
+// The benchmark's cluster shape: 8 nodes in 4 two-node domains. Every
+// stripe's eight shards land on distinct nodes, so one node loss costs
+// each group at most one member.
 constexpr Geometry kLrc8{.k = 4, .global = 2, .local = 2, .block_size = 4096};
 
-/// Two members a < b of one local group homed on the same node; a is
-/// always a data shard (the local parity is the group's last member).
-struct ColocatedPair {
-  std::uint64_t stripe = 0;
-  std::uint32_t a = 0, b = 0;
-};
+/// Group 0's two data members: with both homes down the group can help
+/// neither of them.
+constexpr std::uint32_t kMateA = 0, kMateB = 1;
 
-/// The first stripe whose table co-locates two members of a group.
-ColocatedPair FindColocatedPair(LocalCluster& c) {
-  for (std::uint64_t s = 0;; ++s) {
-    const auto table = c.placement().table(s, kLrc8);
-    for (std::uint32_t g = 0; g < kLrc8.groups(); ++g) {
-      const auto members = kLrc8.group_members(g);
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        for (std::size_t j = i + 1; j < members.size(); ++j) {
-          if (table[members[i]] == table[members[j]]) {
-            return {s, members[i], members[j]};
-          }
-        }
-      }
-    }
-  }
+/// Kill the homes of kMateA and kMateB of `stripe` and heartbeat.
+/// Returns the dead node ids: two, as placement spreads a stripe over
+/// distinct nodes at 8 nodes.
+std::set<cluster::NodeId> KillGroupMates(LocalCluster& c,
+                                         std::uint64_t stripe) {
+  const auto table = c.placement().table(stripe, kLrc8);
+  const std::set<cluster::NodeId> dead{table[kMateA], table[kMateB]};
+  for (const cluster::NodeId n : dead) c.kill(n - 1);
+  c.coordinator().heartbeat();
+  return dead;
 }
 
 /// Healthy-path copy of every shard of `stripe` (data and parity).
@@ -262,9 +255,11 @@ std::vector<std::vector<std::byte>> ReadAllShards(LocalCluster& c,
 }
 
 TEST_F(ClusterTest, ColocatedGroupLossReadsKSurvivorsWithoutLocalAttempt) {
+  // Two members of one group lost at once (here: both homes down) leave
+  // the group nothing to XOR; each of them is read globally from
+  // exactly k survivors, with no local attempt that cannot succeed.
   LocalCluster c(Cfg(8, 4, kLrc8));
-  const ColocatedPair pair = FindColocatedPair(c);
-  const std::uint64_t stripe = pair.stripe;
+  const std::uint64_t stripe = 5;
   const auto data = MakeStripe(kLrc8, 41);
   const auto ptrs = Ptrs(data);
   ASSERT_TRUE(c.coordinator()
@@ -272,9 +267,8 @@ TEST_F(ClusterTest, ColocatedGroupLossReadsKSurvivorsWithoutLocalAttempt) {
                   .ok());
   const auto want = ReadAllShards(c, stripe);
   const auto table = c.placement().table(stripe, kLrc8);
-  const cluster::NodeId dead = table[pair.a];
-  c.kill(dead - 1);
-  c.coordinator().heartbeat();
+  const std::set<cluster::NodeId> dead = KillGroupMates(c, stripe);
+  ASSERT_EQ(dead.size(), 2u) << "group mates share a home";
 
   auto counter = [](const char* name, const char* key, const char* value) {
     return CounterValue(name, {{key, value}});
@@ -283,12 +277,12 @@ TEST_F(ClusterTest, ColocatedGroupLossReadsKSurvivorsWithoutLocalAttempt) {
   for (std::uint32_t j = 0; j < kLrc8.total_shards(); ++j) {
     SCOPED_TRACE("shard " + std::to_string(j));
     // A read goes local only when the target has a group and no other
-    // member lives on the dead node.
+    // member lives on a dead node.
     bool local = kLrc8.group_of(j) >= 0;
     if (local) {
       for (const std::uint32_t m :
            kLrc8.group_members(static_cast<std::uint32_t>(kLrc8.group_of(j)))) {
-        if (m != j && table[m] == dead) local = false;
+        if (m != j && dead.count(table[m]) != 0) local = false;
       }
     }
     const auto global0 = counter("dialga_cluster_degraded_read_total",
@@ -308,7 +302,7 @@ TEST_F(ClusterTest, ColocatedGroupLossReadsKSurvivorsWithoutLocalAttempt) {
     const auto reads1 = counter("dialga_cluster_rpc_total", "type", "read");
     const auto dreads1 =
         counter("dialga_cluster_rpc_total", "type", "degraded-read");
-    if (table[j] != dead) {
+    if (dead.count(table[j]) == 0) {
       EXPECT_EQ(r.code, OpResult::Code::kOk) << r.detail;
       EXPECT_EQ(reads1 - reads0, 1u);
       EXPECT_EQ(global1, global0);
@@ -327,15 +321,14 @@ TEST_F(ClusterTest, ColocatedGroupLossReadsKSurvivorsWithoutLocalAttempt) {
       ++global_reads;
     }
   }
-  // At least the two co-located group members went global.
-  EXPECT_GE(global_reads, 2u);
+  // Exactly the two lost group members went global.
+  EXPECT_EQ(global_reads, 2u);
   for (std::uint32_t j = 0; j < kLrc8.k; ++j) EXPECT_EQ(want[j], data[j]);
 }
 
 TEST_F(ClusterTest, CorruptSurvivorIsReplacedByTheNextOne) {
   LocalCluster c(Cfg(8, 4, kLrc8));
-  const ColocatedPair pair = FindColocatedPair(c);
-  const std::uint64_t stripe = pair.stripe;
+  const std::uint64_t stripe = 6;
   const auto data = MakeStripe(kLrc8, 42);
   const auto ptrs = Ptrs(data);
   ASSERT_TRUE(c.coordinator()
@@ -343,15 +336,14 @@ TEST_F(ClusterTest, CorruptSurvivorIsReplacedByTheNextOne) {
                   .ok());
   const auto want = ReadAllShards(c, stripe);
   const auto table = c.placement().table(stripe, kLrc8);
-  // Target: a data member whose group mate shares its home, so the read
-  // must go global.
-  const std::uint32_t target = pair.a;
-  const cluster::NodeId dead = table[target];
-  c.kill(dead - 1);
-  c.coordinator().heartbeat();
+  // Target: a data member whose group mate's home is down too, so the
+  // read must go global.
+  const std::uint32_t target = kMateA;
+  const std::set<cluster::NodeId> dead = KillGroupMates(c, stripe);
+  ASSERT_EQ(dead.size(), 2u) << "group mates share a home";
   // Corrupt the first survivor the fetch order reaches.
   std::uint32_t first = 0;
-  while (first == target || table[first] == dead) ++first;
+  while (first == target || dead.count(table[first]) != 0) ++first;
   ASSERT_TRUE(c.node(table[first] - 1).corrupt_chunk(stripe, first));
 
   const std::uint64_t reads0 =
@@ -363,6 +355,52 @@ TEST_F(ClusterTest, CorruptSurvivorIsReplacedByTheNextOne) {
   EXPECT_EQ(CounterValue("dialga_cluster_rpc_total", {{"type", "read"}}) -
                 reads0,
             kLrc8.k + 1u);
+}
+
+TEST_F(ClusterTest, GlobalReadPassesOverADependentLocalParity) {
+  // d3, g0 and g1 of one stripe are dropped. The first k survivors in
+  // shard order would be d0, d1, d2 and L0 = d0 ^ d1, a singular set;
+  // the stripe is still decodable from d0, d1, d2 and L1 = d2 ^ d3.
+  LocalCluster c(Cfg(8, 4, kLrc8));
+  c.coordinator().set_read_repair(false);
+  const std::uint64_t stripe = 9;
+  const auto data = MakeStripe(kLrc8, 44);
+  const auto ptrs = Ptrs(data);
+  ASSERT_TRUE(c.coordinator()
+                  .write_stripe(stripe, std::span<const std::byte* const>(ptrs))
+                  .ok());
+  const auto want = ReadAllShards(c, stripe);
+  const auto table = c.placement().table(stripe, kLrc8);
+  const std::uint32_t d3 = 3, g0 = 4, g1 = 5, l0 = 6;
+  for (const std::uint32_t j : {d3, g0, g1}) {
+    ASSERT_TRUE(c.node(table[j] - 1).drop_chunk(stripe, j));
+  }
+
+  const std::uint64_t reads0 =
+      CounterValue("dialga_cluster_rpc_total", {{"type", "read"}});
+  std::vector<std::byte> out;
+  const OpResult r = c.coordinator().read_block(stripe, g0, &out);
+  ASSERT_EQ(r.code, OpResult::Code::kDegraded) << r.detail;
+  EXPECT_EQ(out, want[g0]);
+  // The healthy attempt on g0's home, then d0, d1, d2, the missing d3
+  // and g1, and L1: L0 is never fetched.
+  EXPECT_EQ(CounterValue("dialga_cluster_rpc_total", {{"type", "read"}}) -
+                reads0,
+            1u + kLrc8.k + 2u);
+  EXPECT_FALSE(c.node(table[g0] - 1).has_chunk(stripe, g0))
+      << "read-repair is off";
+  EXPECT_TRUE(c.node(table[l0] - 1).has_chunk(stripe, l0));
+
+  const auto report = c.coordinator().scrub_pass();
+  EXPECT_EQ(report.repaired, 3u);
+  EXPECT_EQ(report.unrecoverable, 0u);
+  for (std::uint32_t j = 0; j < kLrc8.total_shards(); ++j) {
+    SCOPED_TRACE("shard " + std::to_string(j));
+    std::vector<std::byte> healthy;
+    EXPECT_EQ(c.coordinator().read_block(stripe, j, &healthy).code,
+              OpResult::Code::kOk);
+    EXPECT_EQ(healthy, want[j]);
+  }
 }
 
 TEST_F(ClusterTest, QuorumLossNamesTheSurvivorCount) {
@@ -494,9 +532,8 @@ TEST_F(ClusterTest, RepairSkipsLocalAttemptWhenGroupMemberKnownDown) {
 }
 
 TEST_F(ClusterTest, RemoveNodeRebuildsItsChunks) {
-  // RS, and the benchmark's LRC shape (no chunk moves there, so every
-  // read belongs to a rebuild: fewer than k for a local one, k
-  // survivors for a global one).
+  // RS, and the benchmark's LRC shape. A rebuild reads fewer than k
+  // chunks when local and k survivors when global; a move reads one.
   struct Input {
     LocalClusterConfig cfg;
     std::uint64_t stripes;
@@ -677,10 +714,35 @@ TEST_F(ClusterTest, ManifestRoundTrip) {
   EXPECT_EQ(out.stripes, m.stripes);
 }
 
+TEST_F(ClusterTest, ManifestVersionOneOpensRsButRefusesLrc) {
+  // Version 2 marks the LRC placement that spills groups; RS tables are
+  // the same under both versions.
+  auto as_v1 = [](std::string text) {
+    EXPECT_EQ(text.rfind("version 2\n", 0), 0u);
+    return text.replace(0, 9, "version 1");
+  };
+  ClusterManifest m;
+  m.nodes = 8;
+  m.domains = 4;
+  m.geom = kRs;
+  m.stripes = {0, 3};
+  ClusterManifest out;
+  std::string why;
+  ASSERT_TRUE(ClusterManifest::parse(as_v1(m.serialize()), &out, &why));
+  EXPECT_EQ(out.geom, kRs);
+  EXPECT_EQ(out.stripes, m.stripes);
+  EXPECT_TRUE(why.empty());
+
+  m.geom = kLrc;
+  EXPECT_TRUE(ClusterManifest::parse(m.serialize(), &out));
+  EXPECT_FALSE(ClusterManifest::parse(as_v1(m.serialize()), &out, &why));
+  EXPECT_NE(why.find("placement"), std::string::npos) << why;
+}
+
 TEST_F(ClusterTest, ManifestRejectsGarbage) {
   ClusterManifest out;
   EXPECT_FALSE(ClusterManifest::parse("", &out));
-  EXPECT_FALSE(ClusterManifest::parse("version 2\nnodes 4\n", &out));
+  EXPECT_FALSE(ClusterManifest::parse("version 3\nnodes 4\n", &out));
   EXPECT_FALSE(ClusterManifest::parse("version 1\nnodes zero\n", &out));
   EXPECT_FALSE(ClusterManifest::parse("version 1\nnodes 0\n", &out));
   // Unknown keys are forward-compatible, not fatal.

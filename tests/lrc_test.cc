@@ -187,6 +187,29 @@ INSTANTIATE_TEST_SUITE_P(BlockSizes, LrcReconstructTest,
                          ::testing::Values(std::size_t{4096},
                                            std::size_t{1000}));
 
+TEST(Lrc, IndependentAgreesWithTheGenerator) {
+  // Every subset of the 8 blocks of LRC(4,2,2): independent() holds
+  // exactly where the combined generator's rows have full row rank, so
+  // for k rows exactly where reconstruct() accepts them.
+  const LrcCodec lrc(4, 2, 2);
+  const gf::Matrix gen = LrcGenerator(4, 2, 2);
+  for (std::uint32_t mask = 0; mask < (1u << 8); ++mask) {
+    std::vector<std::size_t> rows;
+    for (std::size_t i = 0; i < 8; ++i) {
+      if (((mask >> i) & 1u) != 0) rows.push_back(i);
+    }
+    gf::Matrix sub(rows.size(), 4);
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      for (std::size_t c = 0; c < 4; ++c) sub.at(r, c) = gen.at(rows[r], c);
+    EXPECT_EQ(lrc.independent(rows), gf::rank(sub) == rows.size())
+        << "mask " << mask;
+  }
+  using V = std::vector<std::size_t>;
+  EXPECT_FALSE(lrc.independent(V{0, 1, 6}));  // L0 = d0 ^ d1
+  EXPECT_TRUE(lrc.independent(V{0, 1, 2, 7}));
+  EXPECT_TRUE(lrc.independent(V{2, 3, 4, 5}));
+}
+
 TEST(Lrc, ReconstructRejectsMalformedRequests) {
   const std::size_t k = 4, m = 2, l = 2, bs = 256;
   const LrcCodec lrc(k, m, l);

@@ -70,6 +70,28 @@ TEST(Matrix, SingularDetected) {
   EXPECT_FALSE(invert(b).has_value());
 }
 
+TEST(Matrix, RankMatchesInvertibilityAndCountsDependentRows) {
+  EXPECT_EQ(rank(Matrix(3, 3)), 0u);
+  EXPECT_EQ(rank(Matrix::identity(5)), 5u);
+  // Every square Cauchy survivor set is invertible, so full rank.
+  const Matrix gen = cauchy_generator(4, 3);
+  EXPECT_EQ(rank(gen), 4u);  // 7 x 4: rank is capped by the columns
+  EXPECT_EQ(rank(gen.slice_rows(3, 4)), 4u);
+  // A row that is the XOR of two others adds nothing.
+  Matrix a(3, 4);
+  for (std::size_t c = 0; c < 4; ++c) {
+    a.at(0, c) = gen.at(4, c);
+    a.at(1, c) = gen.at(5, c);
+    a.at(2, c) = gen.at(4, c) ^ gen.at(5, c);
+  }
+  EXPECT_EQ(rank(a), 2u);
+  // A zero leading column forces a pivot search past the first row.
+  Matrix b(2, 2);
+  b.at(1, 0) = 3;
+  b.at(0, 1) = 9;
+  EXPECT_EQ(rank(b), 2u);
+}
+
 TEST(Matrix, InvertNeedsRowSwap) {
   // Zero pivot in the top-left forces the row-swap path.
   Matrix a(2, 2);

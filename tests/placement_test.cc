@@ -1,15 +1,19 @@
 // Placement-ring invariants the cluster tier depends on: determinism
 // (tables are pure functions of membership + stripe id), minimal
-// movement on membership change, distinct-node spreading, and the LRC
-// failure-domain pinning — every local group inside one domain, global
-// parities elsewhere.
+// movement on membership change, distinct-node spreading (RS and LRC),
+// and the LRC failure-domain rule — a local group inside one domain
+// when the domain can hold it, spilled onto other nodes when it cannot,
+// global parities elsewhere.
 #include "cluster/placement.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <set>
+
+#include "ec/lrc.h"
 
 namespace {
 
@@ -33,6 +37,17 @@ std::vector<NodeInfo> RackedNodes() {
   for (std::size_t i = 0; i < 9; ++i) {
     nodes.push_back({static_cast<NodeId>(i + 1),
                      static_cast<std::uint32_t>(i / 3)});
+  }
+  return nodes;
+}
+
+// n nodes spread round-robin over `domains` failure domains (node i in
+// domain i % domains), the way LocalCluster assigns them.
+std::vector<NodeInfo> SpreadNodes(std::size_t n, std::size_t domains) {
+  std::vector<NodeInfo> nodes;
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes.push_back({static_cast<NodeId>(i + 1),
+                     static_cast<std::uint32_t>(i % domains)});
   }
   return nodes;
 }
@@ -217,6 +232,128 @@ TEST(PlacementTest, LrcGroupsPinnedToOneFailureDomain) {
       EXPECT_NE(dom, *group_domains[0].begin()) << "stripe " << stripe;
       EXPECT_NE(dom, *group_domains[1].begin()) << "stripe " << stripe;
     }
+  }
+}
+
+TEST(PlacementTest, LrcShardsOnDistinctNodesWhenMembershipAllows) {
+  // 8 nodes in 4 two-node domains (a group of three cannot fit its
+  // domain) and in 8 one-node domains.
+  for (const std::size_t domains : {4u, 8u}) {
+    SCOPED_TRACE("domains " + std::to_string(domains));
+    const auto nodes = SpreadNodes(8, domains);
+    Placement p(nodes);
+    for (std::uint64_t stripe = 0; stripe < 512; ++stripe) {
+      const auto table = p.table(stripe, kLrc);
+      ASSERT_EQ(table.size(), kLrc.total_shards());
+      const std::set<NodeId> distinct(table.begin(), table.end());
+      EXPECT_EQ(distinct.size(), table.size()) << "stripe " << stripe;
+      // A group fills one domain before it spills: some domain holds as
+      // many of its members as the domain has nodes.
+      for (std::uint32_t g = 0; g < kLrc.groups(); ++g) {
+        std::map<std::uint32_t, std::size_t> per_domain;
+        for (const std::uint32_t shard : kLrc.group_members(g)) {
+          ++per_domain[nodes[table[shard] - 1].domain];
+        }
+        std::size_t most = 0;
+        for (const auto& [d, count] : per_domain) most = std::max(most, count);
+        EXPECT_EQ(most, 8 / domains) << "stripe " << stripe << " group " << g;
+      }
+    }
+  }
+}
+
+TEST(PlacementTest, LrcSurvivesAnyWholeDomainLoss) {
+  constexpr std::size_t kBlock = 64;
+  const ec::LrcCodec codec(kLrc.k, kLrc.global, kLrc.local);
+  const std::uint32_t total = kLrc.total_shards();
+  std::mt19937_64 rng(5);
+  std::vector<std::vector<std::byte>> want(total,
+                                           std::vector<std::byte>(kBlock));
+  std::vector<const std::byte*> data;
+  std::vector<std::byte*> parity;
+  for (std::uint32_t j = 0; j < total; ++j) {
+    if (j < kLrc.k) {
+      for (auto& b : want[j]) b = static_cast<std::byte>(rng());
+      data.push_back(want[j].data());
+    } else {
+      parity.push_back(want[j].data());
+    }
+  }
+  codec.encode(kBlock, data, parity);
+
+  for (const std::size_t domains : {4u, 8u}) {
+    SCOPED_TRACE("domains " + std::to_string(domains));
+    const auto nodes = SpreadNodes(8, domains);
+    Placement p(nodes);
+    for (std::uint64_t stripe = 0; stripe < 128; ++stripe) {
+      const auto table = p.table(stripe, kLrc);
+      for (std::uint32_t lost = 0; lost < domains; ++lost) {
+        std::vector<std::size_t> erasures;
+        for (std::uint32_t j = 0; j < total; ++j) {
+          if (nodes[table[j] - 1].domain == lost) erasures.push_back(j);
+        }
+        auto blocks = want;
+        std::vector<std::byte*> ptrs;
+        for (const std::size_t e : erasures) {
+          std::fill(blocks[e].begin(), blocks[e].end(), std::byte{0});
+        }
+        for (auto& b : blocks) ptrs.push_back(b.data());
+        ASSERT_TRUE(codec.decode(kBlock, ptrs, erasures))
+            << "stripe " << stripe << " domain " << lost;
+        EXPECT_EQ(blocks, want) << "stripe " << stripe << " domain " << lost;
+      }
+    }
+  }
+}
+
+TEST(PlacementTest, TablesUnchangedWhereGroupsFitTheirDomains) {
+  // Captured before LRC groups could spill: RS tables, and LRC tables
+  // whose domains each hold a whole group, are the same byte for byte.
+  const std::vector<std::vector<NodeId>> racked_lrc = {
+      {9, 7, 6, 4, 3, 1, 8, 5}, {4, 5, 9, 7, 3, 2, 6, 8},
+      {3, 1, 7, 9, 4, 6, 2, 8}, {5, 4, 3, 1, 9, 7, 6, 2},
+      {4, 5, 2, 3, 7, 9, 6, 1}, {5, 6, 1, 3, 7, 9, 4, 2},
+      {9, 8, 4, 6, 1, 2, 7, 5}, {5, 4, 3, 2, 8, 7, 6, 1},
+  };
+  const std::vector<std::vector<NodeId>> flat_rs = {
+      {2, 1, 7, 6, 4, 8}, {4, 2, 5, 1, 7, 3}, {3, 4, 7, 5, 8, 2},
+      {5, 7, 3, 4, 2, 8}, {7, 1, 2, 4, 3, 8}, {8, 7, 5, 4, 6, 3},
+      {6, 3, 1, 8, 5, 2}, {7, 2, 6, 4, 8, 5},
+  };
+  Placement racked(RackedNodes());
+  Placement flat(FlatNodes(8));
+  for (std::uint64_t stripe = 0; stripe < 8; ++stripe) {
+    EXPECT_EQ(racked.table(stripe, kLrc), racked_lrc[stripe]) << stripe;
+    EXPECT_EQ(flat.table(stripe, kRs), flat_rs[stripe]) << stripe;
+  }
+}
+
+TEST(PlacementTest, LrcRemoveOnlyMovesTheDeadNodesShardsPlusSpills) {
+  // With 8 nodes a stripe uses every node, so a removal must re-home
+  // one shard per stripe, and a spilled member may follow it; the rest
+  // stay.
+  for (const std::size_t domains : {4u, 8u}) {
+    SCOPED_TRACE("domains " + std::to_string(domains));
+    Placement p(SpreadNodes(8, domains));
+    const std::size_t stripes = 500;
+    std::vector<std::vector<NodeId>> before;
+    for (std::uint64_t s = 0; s < stripes; ++s) {
+      before.push_back(p.table(s, kLrc));
+    }
+    const NodeId dead = 3;
+    ASSERT_TRUE(p.remove_node(dead));
+    std::size_t moved = 0, total = 0, was_dead = 0;
+    for (std::uint64_t s = 0; s < stripes; ++s) {
+      const auto after = p.table(s, kLrc);
+      for (std::size_t j = 0; j < after.size(); ++j) {
+        ++total;
+        EXPECT_NE(after[j], dead);
+        if (before[s][j] == dead) ++was_dead;
+        if (after[j] != before[s][j]) ++moved;
+      }
+    }
+    EXPECT_GE(moved, was_dead);
+    EXPECT_LT(moved, was_dead + total * 20 / 100);
   }
 }
 

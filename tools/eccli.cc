@@ -228,9 +228,15 @@ int ClusterExit(const cluster::OpResult& r) {
 /// (cluster.txt + n<i>/ chunk directories) and re-track its stripes.
 std::unique_ptr<cluster::LocalCluster> OpenCluster(
     const std::filesystem::path& dir, cluster::ClusterManifest* mf) {
-  if (!cluster::ClusterManifest::load(dir / "cluster.txt", mf)) {
-    std::cerr << "eccli: no readable cluster.txt under '" << dir.string()
-              << "' (not a cluster directory?)\n";
+  std::string why;
+  if (!cluster::ClusterManifest::load(dir / "cluster.txt", mf, &why)) {
+    if (!why.empty()) {
+      std::cerr << "eccli: " << (dir / "cluster.txt").string() << ": " << why
+                << "\n";
+    } else {
+      std::cerr << "eccli: no readable cluster.txt under '" << dir.string()
+                << "' (not a cluster directory?)\n";
+    }
     return nullptr;
   }
   cluster::LocalClusterConfig cfg;
